@@ -48,7 +48,6 @@
 
 #include "common.hpp"
 #include "core/monitor.hpp"
-#include "core/sharded_moments.hpp"
 #include "core/sharing_pairs.hpp"
 #include "io/binary_trace.hpp"
 #include "io/checkpoint.hpp"
@@ -140,18 +139,6 @@ class ChecksumSink final : public io::Element {
 // build time, then the steady-state monitor tick.  No batch reference —
 // the O(m np^2) relearn at 5k+ paths is the cost this path exists to
 // avoid.
-// One point of the shard sweep: the overlay feed replayed through the
-// sharded coordinator at K interior shards (0 = the flat pair
-// accumulator, the sweep's baseline).  The merge is a pure gather, so
-// max_loss_diff against the flat run must be exactly 0.
-struct ShardPoint {
-  std::size_t shards = 0;
-  double tick_seconds = 0.0;
-  std::size_t cross_pairs = 0;
-  std::size_t merges = 0;
-  double max_loss_diff = 0.0;
-};
-
 struct OverlayFigures {
   std::size_t np = 0, nc = 0;
   std::size_t pairs = 0, shared_entries = 0, store_bytes = 0;
@@ -162,7 +149,9 @@ struct OverlayFigures {
   double telemetry_tick_seconds = 0.0;
   std::size_t refactorizations = 0;
   std::size_t rank1_updates = 0;
-  std::vector<ShardPoint> shard_sweep;
+  // The same steady tick on the kSharingPairs accumulator (sharing-pair
+  // entries only, O(np + pairs) per tick instead of O(np^2)).
+  double pairs_tick_seconds = 0.0;
   // Failover cost at this scale: one full monitor checkpoint (store +
   // accumulator + cached factor) serialized and restored.
   std::size_t checkpoint_bytes = 0;
@@ -257,46 +246,21 @@ OverlayFigures run_overlay(std::size_t hosts, std::size_t m, std::size_t ticks,
   restored.restore_state(reader);
   out.checkpoint_restore_seconds = restore_timer.seconds();
 
-  // Shard sweep: the identical feed (fresh simulator, same seed) through
-  // the pair accumulator flat (K=0, the baseline) and partitioned across
-  // K interior shards.  Records what the partition/gather plumbing costs
-  // per tick and the cross-shard pair population the boundary shard
-  // absorbs; the inferences must stay bit-identical to the flat run.
+  // Pair-accumulator tick: the identical feed (fresh simulator, same
+  // seed) through the kSharingPairs accumulator.
   {
-    core::MonitorOptions pair_options = options;
+    auto pair_options = options;
     pair_options.accumulator = core::CovarianceAccumulator::kSharingPairs;
-    std::vector<linalg::Vector> reference;
-    for (std::size_t shards : {0, 2, 4, 8}) {
-      auto run_options = pair_options;
-      run_options.shards = shards;
-      core::LiaMonitor sharded(r, run_options);
-      sim::SnapshotSimulator feed(topo.graph, rrm, config, seed * 7);
-      stats::RunningStat stat;
-      ShardPoint point;
-      point.shards = shards;
-      std::size_t diagnosed = 0;
-      for (std::size_t t = 0; t < m + 2 + ticks; ++t) {
-        const auto y = feed.next().path_log_trans;
-        util::Timer timer;
-        const auto inference = sharded.observe(y);
-        if (t > m + 1) stat.add(timer.seconds());
-        if (!inference) continue;
-        if (shards == 0) {
-          reference.push_back(inference->loss);
-        } else {
-          point.max_loss_diff = std::max(
-              point.max_loss_diff,
-              linalg::max_abs_diff(reference[diagnosed], inference->loss));
-        }
-        ++diagnosed;
-      }
-      point.tick_seconds = stat.mean();
-      if (const auto* acc = sharded.sharded_accumulator()) {
-        point.cross_pairs = acc->cross_shard_pairs();
-        point.merges = acc->merges();
-      }
-      out.shard_sweep.push_back(point);
+    core::LiaMonitor pairs(r, pair_options);
+    sim::SnapshotSimulator feed(topo.graph, rrm, config, seed * 7);
+    stats::RunningStat stat;
+    for (std::size_t t = 0; t < m + 2 + ticks; ++t) {
+      const auto y = feed.next().path_log_trans;
+      util::Timer timer;
+      pairs.observe(y);
+      if (t > m + 1) stat.add(timer.seconds());
     }
+    out.pairs_tick_seconds = stat.mean();
   }
 
   // Ingestion shoot-out on the same overlay: one phi campaign, written
@@ -480,16 +444,8 @@ int main(int argc, char** argv) {
                 << " s, restored (factor included, no refactorization) in "
                 << util::Table::num(overlay.checkpoint_restore_seconds, 4)
                 << " s\n";
-      std::cout << "  shard sweep (pairs accumulator, tick s / cross pairs):";
-      for (const auto& point : overlay.shard_sweep) {
-        std::cout << "  K=" << point.shards << " "
-                  << util::Table::num(point.tick_seconds, 5);
-        if (point.shards > 0) {
-          std::cout << "/" << point.cross_pairs;
-          if (point.max_loss_diff != 0.0) std::cout << " [DIVERGED]";
-        }
-      }
-      std::cout << "\n";
+      std::cout << "  pairs accumulator tick: "
+                << util::Table::num(overlay.pairs_tick_seconds, 5) << " s\n";
       if (overlay.ingest_snapshots > 0) {
         const double n = static_cast<double>(overlay.ingest_snapshots);
         const double ascii_per_s = n / overlay.ingest_ascii_seconds;
@@ -564,23 +520,8 @@ int main(int argc, char** argv) {
                  overlay.checkpoint_save_seconds);
       report.set("checkpoint_restore_s" + suffix,
                  overlay.checkpoint_restore_seconds);
-      double shard_max_diff = 0.0;
-      for (const auto& point : overlay.shard_sweep) {
-        if (point.shards == 0) {
-          report.set("overlay_pairs_tick_seconds" + suffix,
-                     point.tick_seconds);
-          continue;
-        }
-        const auto key =
-            "overlay_shard" + std::to_string(point.shards) + suffix;
-        report.set(key + "_tick_seconds", point.tick_seconds);
-        report.set(key + "_cross_pairs", point.cross_pairs);
-        report.set(key + "_merges", point.merges);
-        shard_max_diff = std::max(shard_max_diff, point.max_loss_diff);
-      }
-      if (!overlay.shard_sweep.empty()) {
-        report.set("overlay_shard_max_loss_diff" + suffix, shard_max_diff);
-      }
+      report.set("overlay_pairs_tick_seconds" + suffix,
+                 overlay.pairs_tick_seconds);
       if (overlay.ingest_snapshots > 0) {
         const double n = static_cast<double>(overlay.ingest_snapshots);
         const double ascii_snap = overlay.ingest_ascii_seconds / n;

@@ -18,12 +18,9 @@
 //             traces run at O(np) reader memory.  The format is detected
 //             by content (binary traces by magic) and binary ingestion is
 //             zero-copy off the mmap; thin=k keeps every k-th snapshot:
-//             shards=K partitions the pair accumulator across K interior
-//             shards plus a boundary shard (implies the sharing-pairs
-//             accumulator; inferences stay bit-identical):
 //       lia_cli mode=monitor topology=... paths=... snapshots=... [m=50]
 //               [relearn_every=1] [engine=streaming|batch] [tl=0.002]
-//               [format=auto|text|binary] [thin=1] [shards=0]
+//               [format=auto|text|binary] [thin=1]
 //   convert:  converts a snapshot campaign between the text and binary
 //             trace formats (direction auto-detected from the input;
 //             doubles round-trip bit-identically in both directions):
@@ -34,11 +31,9 @@
 //             record= captures the exact monitor feed as a binary trace;
 //             replay= drives the monitor from such a trace instead of the
 //             simulator (bit-identical inferences):
-//             shards=K runs the sharded coordinator and reports per-shard
-//             sizes, cross-shard pairs, and merge counts:
 //       lia_cli mode=scenario scenario=scenarios/flapping_mesh.scn
 //               [ticks=] [window=] [engine=streaming|batch]
-//               [accumulator=dense|pairs] [shards=0] [tl=0.002]
+//               [accumulator=dense|pairs] [tl=0.002]
 //               [record=<trace>] [replay=<trace>]
 //   ingest-drill: end-to-end parity drill for the binary ingestion path.
 //             Simulates a campaign, writes it both as text and as a binary
@@ -69,7 +64,6 @@
 #include "core/identifiability.hpp"
 #include "core/lia.hpp"
 #include "core/monitor.hpp"
-#include "core/sharded_moments.hpp"
 #include "io/binary_trace.hpp"
 #include "io/checkpoint.hpp"
 #include "io/pipeline.hpp"
@@ -95,12 +89,12 @@ void print_usage(std::ostream& os) {
         "  infer      topology= paths= snapshots= [tl=] [top=]\n"
         "  monitor    topology= paths= snapshots= [m=] [relearn_every=]\n"
         "             [engine=streaming|batch] [format=auto|text|binary]\n"
-        "             [thin=] [shards=] [tl=]\n"
+        "             [thin=] [tl=]\n"
         "             [metrics=<file>] [metrics_every=<ticks>]\n"
         "  convert    in=<snapshots> out=<snapshots>\n"
         "  scenario   scenario=<file.scn> [ticks=] [window=]\n"
         "             [engine=streaming|batch] [accumulator=dense|pairs]\n"
-        "             [shards=] [tl=] [record=] [replay=]\n"
+        "             [tl=] [record=] [replay=]\n"
         "             [metrics=<file>] [metrics_every=<ticks>]\n"
         "  ingest-drill      [hosts=] [m=] [ticks=] [dir=] [threads=]\n"
         "  checkpoint-drill  scenario= [kill_at=] [file=] [ticks=]\n"
@@ -248,7 +242,6 @@ int monitor(const util::Args& args) {
   const auto engine = args.get_string("engine", "streaming");
   const auto format = args.get_string("format", "auto");
   const auto thin_every = args.get_size("thin", 1);
-  const auto shards = args.get_size("shards", 0);
   const auto metrics_file = args.get_string("metrics", "");
   const auto metrics_every = args.get_size("metrics_every", 0);
   args.finish();
@@ -258,10 +251,6 @@ int monitor(const util::Args& args) {
   }
   if (engine != "streaming" && engine != "batch") {
     std::cerr << "engine must be streaming|batch\n";
-    return 2;
-  }
-  if (shards > 0 && engine != "streaming") {
-    std::cerr << "shards= needs the streaming engine\n";
     return 2;
   }
   if (format != "auto" && format != "text" && format != "binary") {
@@ -296,12 +285,6 @@ int monitor(const util::Args& args) {
   if (telemetry) monitor_options.telemetry = &registry;
   monitor_options.engine = engine == "batch" ? core::MonitorEngine::kBatch
                                              : core::MonitorEngine::kStreaming;
-  if (shards > 0) {
-    // Sharding partitions the pair-indexed accumulator; it implies the
-    // sharing-pairs layout.
-    monitor_options.accumulator = core::CovarianceAccumulator::kSharingPairs;
-    monitor_options.shards = shards;
-  }
   core::LiaMonitor monitor(rrm.matrix(), monitor_options);
   util::Table log({"tick", "congested links", "worst link loss"});
   std::size_t diagnosed = 0;
@@ -359,17 +342,6 @@ int monitor(const util::Args& args) {
     std::cout << "note: the first m snapshots are learning-only; feed more "
                  "than m to see diagnoses\n";
   }
-  if (const auto* sharded = monitor.sharded_accumulator()) {
-    std::size_t min_paths = rrm.path_count(), max_paths = 0;
-    for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
-      min_paths = std::min(min_paths, sharded->shard_path_count(s));
-      max_paths = std::max(max_paths, sharded->shard_path_count(s));
-    }
-    std::cout << "shards: " << sharded->shard_count() << " (paths/shard "
-              << min_paths << ".." << max_paths << "), "
-              << sharded->cross_shard_pairs() << " cross-shard pairs, "
-              << sharded->merges() << " merges\n";
-  }
   if (telemetry) {
     registry.write_file(metrics_file);
     std::cout << "metrics -> " << metrics_file << '\n';
@@ -383,14 +355,12 @@ int scenario_mode(const util::Args& args) {
   const auto ticks_override = args.get_size("ticks", 0);
   const auto window_override = args.get_size("window", 0);
   const auto engine = args.get_string("engine", "streaming");
-  auto accumulator = args.get_string("accumulator", "dense");
-  const auto shards = args.get_size("shards", 0);
+  const auto accumulator = args.get_string("accumulator", "dense");
   const auto record_file = args.get_string("record", "");
   const auto replay_file = args.get_string("replay", "");
   const auto metrics_file = args.get_string("metrics", "");
   const auto metrics_every = args.get_size("metrics_every", 0);
   args.finish();
-  if (shards > 0) accumulator = "pairs";  // sharding implies the pair layout
   if (scenario_file.empty()) {
     std::cerr << "mode=scenario needs scenario=<file> "
                  "(see scenarios/*.scn)\n";
@@ -420,11 +390,6 @@ int scenario_mode(const util::Args& args) {
   options.accumulator = accumulator == "pairs"
                             ? core::CovarianceAccumulator::kSharingPairs
                             : core::CovarianceAccumulator::kDense;
-  options.shards = shards;
-  if (shards > 0 && engine != "streaming") {
-    std::cerr << "shards= needs the streaming engine\n";
-    return 2;
-  }
   // metrics= arms telemetry: the runner and monitor publish deterministic
   // counters + per-event-type churn costs, the flight recorder keeps the
   // last phase spans for a crash dump.
@@ -451,7 +416,6 @@ int scenario_mode(const util::Args& args) {
             << runner.spec().window << ", " << runner.spec().ticks
             << " ticks, " << runner.timeline().size() << " events ("
             << engine << " engine, " << accumulator << " accumulator";
-  if (shards > 0) std::cout << ", " << shards << " shards";
   std::cout << ")\n\n";
 
   util::Table log({"tick", "event(s)", "active", "congested", "worst loss"});
@@ -512,15 +476,6 @@ int scenario_mode(const util::Args& args) {
               << " rank-1 updates (" << eqs->pin_updates() << " pin borders), "
               << eqs->refine_iterations() << " refinement steps, "
               << eqs->links_pinned() << " links pinned\n";
-  }
-  if (const auto* sharded = runner.monitor().sharded_accumulator()) {
-    std::cout << "shards:";
-    for (std::size_t s = 0; s < sharded->shard_count(); ++s) {
-      std::cout << ' ' << sharded->shard_path_count(s) << 'p' << '/'
-                << sharded->shard_pair_count(s) << "pr";
-    }
-    std::cout << " | " << sharded->cross_shard_pairs()
-              << " cross-shard pairs, " << sharded->merges() << " merges\n";
   }
   if (telemetry) {
     registry.write_file(metrics_file);

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/sharded_moments.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_tags.hpp"
 #include "obs/registry.hpp"
@@ -39,18 +38,12 @@ struct LiaMonitor::Telemetry {
   obs::Gauge* equations_used;
   obs::Gauge* equations_dropped;
   obs::Gauge* negative_clamped;
-  // Partition-dependent shard diagnostics: values depend on the shard
-  // count, so they are nondeterministic by the registry's contract.
-  std::vector<obs::Gauge*> shard_paths;
-  std::vector<obs::Gauge*> shard_pairs;
-  obs::Gauge* cross_shard_pairs = nullptr;
-  obs::Counter* merges = nullptr;
   // Phase span ids.
   std::size_t tick_phase;
   std::size_t accumulate_phase;
   std::size_t solve_phase;
 
-  Telemetry(obs::Registry& r, std::size_t shards)
+  explicit Telemetry(obs::Registry& r)
       : registry(&r),
         ticks(&r.counter("monitor.ticks")),
         rank1_updates(&r.counter("monitor.rank1_updates")),
@@ -71,21 +64,7 @@ struct LiaMonitor::Telemetry {
         negative_clamped(&r.gauge("monitor.estimate.negative_clamped")),
         tick_phase(r.phase("tick")),
         accumulate_phase(r.phase("accumulate")),
-        solve_phase(r.phase("solve")) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      const std::string base = "monitor.shard" + std::to_string(s) + ".";
-      shard_paths.push_back(
-          &r.gauge(base + "paths", obs::Determinism::kNondeterministic));
-      shard_pairs.push_back(
-          &r.gauge(base + "pairs", obs::Determinism::kNondeterministic));
-    }
-    if (shards > 0) {
-      cross_shard_pairs = &r.gauge("monitor.cross_shard_pairs",
-                                   obs::Determinism::kNondeterministic);
-      merges =
-          &r.counter("monitor.merges", obs::Determinism::kNondeterministic);
-    }
-  }
+        solve_phase(r.phase("solve")) {}
 };
 
 namespace {
@@ -153,14 +132,6 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
         "the sharing-pair accumulator requires the streaming engine with "
         "the drop-negative policy");
   }
-  if (options_.shards > 0 &&
-      options_.accumulator != CovarianceAccumulator::kSharingPairs) {
-    throw std::invalid_argument(
-        "sharding requires the kSharingPairs accumulator");
-  }
-  if (options_.shards == 0 && !options_.partition.empty()) {
-    throw std::invalid_argument("partition given without shards");
-  }
   if (engine_ == MonitorEngine::kStreaming) {
     const stats::StreamingMomentsOptions accumulator_options{
         .window = options_.window,
@@ -169,14 +140,7 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
     if (options_.accumulator == CovarianceAccumulator::kSharingPairs) {
       store_ = std::make_shared<SharingPairStore>(
           SharingPairStore::build(r_, options_.lia.variance.threads));
-      if (options_.shards > 0) {
-        pair_accumulator_ = std::make_unique<ShardedPairMoments>(
-            store_, r_, options_.shards, accumulator_options,
-            options_.partition);
-      } else {
-        pair_accumulator_ = std::make_unique<PairMoments>(store_, r_.rows(),
-                                                          accumulator_options);
-      }
+      pair_accumulator_.emplace(store_, r_.rows(), accumulator_options);
       equations_.emplace(r_, options_.lia.variance, store_);
     } else {
       accumulator_.emplace(r_.rows(), accumulator_options);
@@ -186,11 +150,7 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
   active_.assign(r_.rows(), 1);
   activated_tick_.assign(r_.rows(), 0);
   if (options_.telemetry != nullptr) {
-    obs_ = std::make_unique<Telemetry>(*options_.telemetry, options_.shards);
-    if (auto* sharded =
-            dynamic_cast<ShardedPairMoments*>(pair_accumulator_.get())) {
-      sharded->set_telemetry(options_.telemetry);
-    }
+    obs_ = std::make_unique<Telemetry>(*options_.telemetry);
     publish_telemetry();
   }
 }
@@ -229,20 +189,16 @@ void LiaMonitor::publish_telemetry() {
     t.equations_dropped->set(static_cast<double>(estimate->equations_dropped));
     t.negative_clamped->set(static_cast<double>(estimate->negative_clamped));
   }
-  if (const ShardedPairMoments* sharded = sharded_accumulator()) {
-    for (std::size_t s = 0; s < t.shard_paths.size(); ++s) {
-      t.shard_paths[s]->set(static_cast<double>(sharded->shard_path_count(s)));
-      t.shard_pairs[s]->set(static_cast<double>(sharded->shard_pair_count(s)));
-    }
-    t.cross_shard_pairs->set(static_cast<double>(sharded->cross_shard_pairs()));
-    t.merges->set(sharded->merges());
-  }
 }
 
 std::size_t LiaMonitor::window_fill() const {
   if (engine_ != MonitorEngine::kStreaming) return window_.size();
-  return pair_accumulator_ ? pair_accumulator_->count()
-                           : accumulator_->count();
+  return streaming_source().count();
+}
+
+const stats::CovarianceSource& LiaMonitor::streaming_source() const {
+  if (pair_accumulator_) return *pair_accumulator_;
+  return *accumulator_;
 }
 
 void LiaMonitor::push_snapshot(std::span<const double> y) {
@@ -270,10 +226,6 @@ bool LiaMonitor::path_full(std::size_t i) const {
 const VarianceEstimate& LiaMonitor::variances() const {
   if (churn_ && churn_variance_) return *churn_variance_;
   return lia_.variances();
-}
-
-const ShardedPairMoments* LiaMonitor::sharded_accumulator() const {
-  return dynamic_cast<const ShardedPairMoments*>(pair_accumulator_.get());
 }
 
 std::size_t LiaMonitor::active_path_count() const {
@@ -345,7 +297,7 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
     equations_->grow_links(new_links);
     equations_->add_paths(r_, count);
     if (pair_accumulator_) {
-      pair_accumulator_->add_paths(r_, count);
+      pair_accumulator_->add_paths(count);
     } else {
       accumulator_->add_paths(count);
     }
@@ -380,11 +332,7 @@ void LiaMonitor::relearn_batch() {
 void LiaMonitor::relearn_churn() {
   rebuild_active();
   if (engine_ == MonitorEngine::kStreaming) {
-    const stats::CovarianceSource& source =
-        pair_accumulator_
-            ? static_cast<const stats::CovarianceSource&>(*pair_accumulator_)
-            : *accumulator_;
-    equations_->refresh(source);
+    equations_->refresh(streaming_source());
     churn_variance_ = equations_->solve();
   } else {
     // Batch reference: estimate from the active paths whose window entries
@@ -478,12 +426,7 @@ std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
       obs::Span solve_span(obs_ ? obs_->registry : nullptr,
                            obs_ ? obs_->solve_phase : 0);
       if (streaming) {
-        const stats::CovarianceSource& source =
-            pair_accumulator_
-                ? static_cast<const stats::CovarianceSource&>(
-                      *pair_accumulator_)
-                : *accumulator_;
-        equations_->refresh(source);
+        equations_->refresh(streaming_source());
         lia_.adopt(equations_->solve());
       } else {
         relearn_batch();
@@ -514,7 +457,6 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   writer.boolean(options_.lia.variance.negatives ==
                  NegativeCovariancePolicy::kDrop);
   writer.usize(options_.refresh_every);
-  writer.usize(options_.shards);
   // The grown routing matrix (the initial rows are its prefix).
   writer.usize(r_.cols());
   writer.usize(r_.rows());
@@ -552,12 +494,11 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   const auto accumulator = static_cast<CovarianceAccumulator>(reader.u8());
   const bool drop_negative = reader.boolean();
   const std::size_t refresh_every = reader.usize();
-  const std::size_t shards = reader.usize();
   if (window != options_.window || relearn_every != options_.relearn_every ||
       engine != engine_ || accumulator != options_.accumulator ||
       drop_negative != (options_.lia.variance.negatives ==
                         NegativeCovariancePolicy::kDrop) ||
-      refresh_every != options_.refresh_every || shards != options_.shards) {
+      refresh_every != options_.refresh_every) {
     throw io::CheckpointError(
         io::CheckpointErrorKind::kMismatch,
         "monitor configuration differs from the checkpointed one");
@@ -622,7 +563,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   // serialized state into the fresh objects, and only then commit.
   std::shared_ptr<SharingPairStore> store;
   std::optional<stats::StreamingMoments> acc;
-  std::unique_ptr<PairIndexedSource> pair_acc;
+  std::optional<PairMoments> pair_acc;
   std::optional<StreamingNormalEquations> equations;
   std::deque<linalg::Vector> batch_window;
   if (engine_ == MonitorEngine::kStreaming) {
@@ -637,14 +578,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
         throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                                   "pair store path count != routing rows");
       }
-      if (options_.shards > 0) {
-        pair_acc = std::make_unique<ShardedPairMoments>(
-            store, *new_r, options_.shards, accumulator_options,
-            options_.partition);
-      } else {
-        pair_acc =
-            std::make_unique<PairMoments>(store, nrows, accumulator_options);
-      }
+      pair_acc.emplace(store, nrows, accumulator_options);
       pair_acc->restore_state(reader);
       equations.emplace(*new_r, options_.lia.variance, store);
       equations->restore_state(reader, store);
@@ -696,12 +630,8 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
     churn_elimination_.reset();
   }
   if (obs_) {
-    // The engine stack was rebuilt: re-attach the sharded gather's merge
-    // span, drop a marker, and republish from the restored state.
-    if (auto* sharded =
-            dynamic_cast<ShardedPairMoments*>(pair_accumulator_.get())) {
-      sharded->set_telemetry(obs_->registry);
-    }
+    // The engine stack was rebuilt: drop a marker and republish from the
+    // restored state.
     obs_->registry->note("monitor.restore");
     publish_telemetry();
   }

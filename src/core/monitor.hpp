@@ -103,31 +103,16 @@ struct MonitorOptions {
   /// accumulator in ticks, bounding floating-point drift
   /// (stats::StreamingMomentsOptions::refresh_every); 0 = 2 * window.
   std::size_t refresh_every = 0;
-  /// Partition the pair-indexed accumulator across `shards` interior
-  /// shards plus one boundary shard for cross-shard sharing pairs
-  /// (core::ShardedPairMoments).  0 = the flat accumulator (default);
-  /// shards >= 1 engages the sharded machinery (1 still exercises the
-  /// partition/merge plumbing).  Requires the streaming engine, the
-  /// kSharingPairs accumulator, and a drop-negative configuration (throws
-  /// std::invalid_argument otherwise).  Inferences are bit-identical to
-  /// the unsharded monitor at any shard count.
-  std::size_t shards = 0;
-  /// Explicit shard of each *initial* path (entries < shards); empty =
-  /// deterministic splitmix64 hash partition.  Paths grown mid-run are
-  /// always hash-partitioned.
-  std::vector<std::uint32_t> partition;
   /// Telemetry sink (obs/registry.hpp); nullptr (the default) leaves the
   /// monitor uninstrumented.  The monitor registers its metric set, opens
   /// accumulate/solve phase spans around the per-tick work, and publishes
   /// the deterministic counter set from serialized engine state at the end
   /// of every observe() — so the published values are bit-identical across
-  /// thread counts, shard counts, and a checkpoint/restore (see
-  /// docs/OBSERVABILITY.md).  The registry must outlive the monitor.
+  /// thread counts and a checkpoint/restore (see docs/OBSERVABILITY.md).
+  /// The registry must outlive the monitor.
   obs::Registry* telemetry = nullptr;
   LiaOptions lia;
 };
-
-class ShardedPairMoments;
 
 /// Feeds snapshots one at a time; once the window is full, every further
 /// snapshot is diagnosed against variances learned from the preceding
@@ -231,9 +216,6 @@ class LiaMonitor {
   [[nodiscard]] CovarianceAccumulator accumulator() const {
     return options_.accumulator;
   }
-  /// The sharded accumulator's diagnostics (shard sizes, cross-shard pair
-  /// counts, merge counters); nullptr unless options.shards > 0.
-  [[nodiscard]] const ShardedPairMoments* sharded_accumulator() const;
   /// The streaming engine's incrementally maintained Phase-1 system, for
   /// factor-cache diagnostics (refactorizations, rank-1 up/downdates, pair
   /// store size); nullptr when the batch engine is driving.
@@ -280,6 +262,9 @@ class LiaMonitor {
   std::optional<LossInference> observe_churn(std::span<const double> y);
   void push_snapshot(std::span<const double> y);
   [[nodiscard]] std::size_t window_fill() const;
+  /// The streaming engine's window statistics: the pair accumulator under
+  /// kSharingPairs, the dense one otherwise.
+  [[nodiscard]] const stats::CovarianceSource& streaming_source() const;
   /// Batch-engine mirror of the accumulators' validity rule: path i's
   /// window entries are all real measurements.
   [[nodiscard]] bool path_full(std::size_t i) const;
@@ -292,9 +277,8 @@ class LiaMonitor {
   std::deque<linalg::Vector> window_;
   // Streaming engine state.
   std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
-  std::optional<stats::StreamingMoments> accumulator_;
-  // kSharingPairs: PairMoments (flat) or ShardedPairMoments (shards > 0).
-  std::unique_ptr<PairIndexedSource> pair_accumulator_;
+  std::optional<stats::StreamingMoments> accumulator_;  // kDense
+  std::optional<PairMoments> pair_accumulator_;         // kSharingPairs
   std::optional<StreamingNormalEquations> equations_;
   // Churn state (engaged at the first set_path_active/add_path call).
   bool churn_ = false;

@@ -38,46 +38,12 @@
 
 namespace losstomo::core {
 
-/// Interface of the pair-indexed accumulators that back the streaming
-/// drop-negative engine: a covariance source whose entries are addressable
-/// by SharingPairStore pair index.  Two implementations — the flat
-/// core::PairMoments and the partitioned core::ShardedPairMoments — so the
-/// monitor and the StreamingNormalEquations refresh are agnostic to
-/// whether the window statistics live in one accumulator or K shard-local
-/// ones.
-///
-/// The writer API mirrors the accumulator contract the monitor drives:
-/// single-writer push/churn, with add_paths called AFTER the shared store
-/// has grown (the routing matrix is passed so sharded implementations can
-/// slice the new rows).
-class PairIndexedSource : public stats::CovarianceSource {
- public:
-  virtual void push(std::span<const double> y) = 0;
-  virtual void push_block(std::span<const double> values,
-                          std::size_t rows) = 0;
-  virtual void activate_path(std::size_t i) = 0;
-  virtual void retire_path(std::size_t i) = 0;
-  /// Appends the trailing `count` rows of the (already grown) routing
-  /// matrix `r`; returns the first new dimension's index.
-  virtual std::size_t add_paths(const linalg::SparseBinaryMatrix& r,
-                                std::size_t count) = 0;
-  virtual void save_state(io::CheckpointWriter& writer) const = 0;
-  virtual void restore_state(io::CheckpointReader& reader) = 0;
-
-  /// The store the pair values are indexed by (the monitor's shared one).
-  [[nodiscard]] virtual const SharingPairStore* pair_store() const = 0;
-  /// Centred cross-product per stored pair, aligned with pair_store()'s
-  /// indexing; cov(pair p) = pair_values()[p] / (count() - 1).  May gather
-  /// lazily (sharded implementation) — logically const, single-writer.
-  [[nodiscard]] virtual std::span<const double> pair_values() const = 0;
-};
-
 /// Pair-indexed sparse sliding-window covariance accumulator.
 ///
 /// Thread-safety: single-writer (push/refresh/add_path/activate mutate);
 /// reads parallelize internally per options.threads with bit-identical
 /// results at any thread count.
-class PairMoments final : public PairIndexedSource {
+class PairMoments final : public stats::CovarianceSource {
  public:
   /// `store` must outlive the accumulator and already enumerate the pairs
   /// of the routing matrix the pushed snapshots are measured over; `dim`
@@ -89,13 +55,13 @@ class PairMoments final : public PairIndexedSource {
   /// when full.  Cost: O(dim + pair_count()) — two rank-1 passes over the
   /// stored pairs — plus the amortized O(window * pairs / refresh_every)
   /// drift refresh.
-  void push(std::span<const double> y) override;
+  void push(std::span<const double> y);
 
   /// Batched ingestion entry point: folds `rows` consecutive snapshots
   /// from a contiguous row-major block of rows * dim() doubles.
   /// State-identical and bit-identical to the per-row push() loop (same
   /// contract as stats::StreamingMoments::push_block).
-  void push_block(std::span<const double> values, std::size_t rows) override;
+  void push_block(std::span<const double> values, std::size_t rows);
 
   /// Recomputes means and every stored pair entry from the retained ring
   /// (drift bound; runs automatically every refresh_every pushes).
@@ -119,13 +85,11 @@ class PairMoments final : public PairIndexedSource {
   [[nodiscard]] double pair_covariance(std::size_t p) const {
     return values_[p] / static_cast<double>(count_ - 1);
   }
+  /// The store the pair values are indexed by (the monitor's shared one).
   [[nodiscard]] const SharingPairStore* store() const { return store_.get(); }
-
-  // PairIndexedSource:
-  [[nodiscard]] const SharingPairStore* pair_store() const override {
-    return store_.get();
-  }
-  [[nodiscard]] std::span<const double> pair_values() const override {
+  /// Centred cross-product per stored pair, aligned with store()'s
+  /// indexing; cov(pair p) = pair_values()[p] / (count() - 1).
+  [[nodiscard]] std::span<const double> pair_values() const {
     return values_;
   }
 
@@ -135,8 +99,8 @@ class PairMoments final : public PairIndexedSource {
   [[nodiscard]] std::size_t refreshes() const { return refreshes_; }
 
   // Path churn (same contract as stats::StreamingMoments):
-  void activate_path(std::size_t i) override;
-  void retire_path(std::size_t i) override;
+  void activate_path(std::size_t i);
+  void retire_path(std::size_t i);
   /// Appends one dimension (active, zero samples) and extends the pair
   /// values to match the store — call AFTER SharingPairStore::add_row.
   /// Returns the new dimension's index.
@@ -146,13 +110,6 @@ class PairMoments final : public PairIndexedSource {
   /// AFTER SharingPairStore::add_rows.  Returns the first new dimension's
   /// index.
   std::size_t add_paths(std::size_t count);
-  /// PairIndexedSource growth entry point: the flat accumulator reads the
-  /// new rows straight off the already-grown shared store, so `r` is
-  /// unused here.
-  std::size_t add_paths(const linalg::SparseBinaryMatrix&,
-                        std::size_t count) override {
-    return add_paths(count);
-  }
   [[nodiscard]] bool path_active(std::size_t i) const {
     return churn_.active(i);
   }
@@ -165,8 +122,8 @@ class PairMoments final : public PairIndexedSource {
   // SharingPairStore is serialized by its owner (the monitor) — restore
   // targets an accumulator already constructed over the restored store and
   // throws io::CheckpointError(kMismatch) on any shape disagreement.
-  void save_state(io::CheckpointWriter& writer) const override;
-  void restore_state(io::CheckpointReader& reader) override;
+  void save_state(io::CheckpointWriter& writer) const;
+  void restore_state(io::CheckpointReader& reader);
 
  private:
   void add(std::span<const double> y);

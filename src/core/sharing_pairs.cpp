@@ -38,17 +38,14 @@ void PartnerFinder::partners_of(std::size_t i, std::vector<std::uint32_t>& out) 
 }
 
 SharingPairStore SharingPairStore::build(const linalg::SparseBinaryMatrix& r,
-                                         std::size_t threads,
-                                         PairFilter keep) {
+                                         std::size_t threads) {
   const std::size_t np = r.rows();
   SharingPairStore store;
   store.row_offsets_.assign(np + 1, 0);
   store.row_live_.assign(np, 1);
   store.columns_ = r.column_lists();
-  store.keep_ = std::move(keep);
   if (np == 0) return store;
   const auto& columns = store.columns_;
-  const auto& filter = store.keep_;
 
   // Per-chunk local buffers, stitched in ascending chunk order afterwards:
   // chunk boundaries depend only on (np, grain), so the stored pair
@@ -75,7 +72,6 @@ SharingPairStore SharingPairStore::build(const linalg::SparseBinaryMatrix& r,
           finder.partners_of(i, partners);
           const auto ri = r.row(i);
           for (const auto j : partners) {
-            if (filter && !filter(i, j)) continue;
             linalg::intersect_sorted(ri, r.row(j), shared);
             // Candidates share a link by construction, but keep the guard:
             // the invariant is cheap to check and load-bearing downstream.
@@ -158,7 +154,6 @@ std::size_t SharingPairStore::add_rows(const linalg::SparseBinaryMatrix& r) {
                    partners.end());
 
     for (const auto j : partners) {
-      if (keep_ && !keep_(j, i_new)) continue;
       linalg::intersect_sorted(row, r.row(j), shared);
       if (shared.empty()) continue;
       const std::size_t p = partner_.size();
@@ -278,10 +273,6 @@ void SharingPairStore::restore_state(io::CheckpointReader& reader) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "pair store CSR structure is inconsistent");
   }
-  // The filter is not serialized; the restore target keeps its own, so a
-  // store constructed filtered (the sharded boundary store) stays
-  // filtered for post-restore growth.
-  tmp.keep_ = std::move(keep_);
   *this = std::move(tmp);
 }
 

@@ -25,7 +25,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -87,23 +86,12 @@ class SharingPairStore {
   static constexpr std::size_t kNoPair =
       std::numeric_limits<std::size_t>::max();
 
-  /// Optional pair filter: a store built with one keeps only the sharing
-  /// pairs for which keep(i, j) returns true (the sharded accumulator's
-  /// boundary store keeps exactly the cross-shard pairs this way).  The
-  /// filter is remembered and applied by add_rows too; it must be a pure
-  /// function of (i, j) — chunk-parallel construction calls it from worker
-  /// threads.  It is NOT serialized: restore_state keeps the target
-  /// instance's own filter, so an owner that constructs a filtered store
-  /// and restores into it stays filtered for post-restore growth.
-  using PairFilter = std::function<bool(std::size_t, std::size_t)>;
-
   /// Enumerates the sharing structure of `r`.  Work is proportional to the
   /// sharing pairs present (candidate discovery + one sorted intersection
   /// per sharing pair), parallel over path chunks; the result is identical
   /// at any `threads` (0 = library default).
   static SharingPairStore build(const linalg::SparseBinaryMatrix& r,
-                                std::size_t threads = 0,
-                                PairFilter keep = {});
+                                std::size_t threads = 0);
 
   /// Incrementally appends the sharing pairs of one new path.  `r` must be
   /// the grown routing matrix whose LAST row (index path_count()) is the
@@ -227,7 +215,6 @@ class SharingPairStore {
   // own-row pairs are already contiguous via row_offsets_).
   mutable std::vector<std::vector<std::size_t>> partner_pairs_;
   mutable bool reverse_built_ = false;
-  PairFilter keep_;  // empty = keep every sharing pair
 };
 
 }  // namespace losstomo::core

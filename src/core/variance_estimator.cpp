@@ -887,12 +887,11 @@ const NormalEquations& StreamingNormalEquations::refresh(
 
   ensure_store();
 
-  // Aligned pair-indexed source (core::PairMoments or the sharded
-  // ShardedPairMoments on this very store): each pair's covariance is an
-  // O(1) array read — no np x np matrix anywhere in the tick.  Every other
-  // source serves the dense S.
-  const auto* pair_source = dynamic_cast<const PairIndexedSource*>(&source);
-  if (pair_source && pair_source->pair_store() != pairs_.get()) {
+  // Aligned pair-indexed source (core::PairMoments on this very store):
+  // each pair's covariance is an O(1) array read — no np x np matrix
+  // anywhere in the tick.  Every other source serves the dense S.
+  const auto* pair_source = dynamic_cast<const PairMoments*>(&source);
+  if (pair_source && pair_source->store() != pairs_.get()) {
     pair_source = nullptr;
   }
   const linalg::Matrix* s = pair_source ? nullptr : &source.matrix();

@@ -30,7 +30,6 @@ inline constexpr char kChurnLedger[] = "CHRN";      // stats::PathChurnLedger
 // core/ — the estimation engine.
 inline constexpr char kSharingPairs[] = "PAIR";     // core::SharingPairStore
 inline constexpr char kPairMoments[] = "PMOM";      // core::PairMoments
-inline constexpr char kShardedPairMoments[] = "SPMO";  // core::ShardedPairMoments
 inline constexpr char kNormalEquations[] = "SNEQ";  // core::StreamingNormalEquations
 inline constexpr char kVarianceEstimate[] = "VEST"; // core::VarianceEstimate
 inline constexpr char kMonitor[] = "LMON";          // core::LiaMonitor

@@ -8,10 +8,11 @@
 //    logically deterministic engine state (rank-1 updates,
 //    refactorizations, PCG iterations, pairs, rows ingested, pins) are
 //    registered kDeterministic and MUST be bit-identical across thread
-//    counts, shard counts, and a checkpoint/restore — the fuzzer in
+//    counts and a checkpoint/restore — the fuzzer in
 //    tests/obs/telemetry_determinism_test pins exactly that set
-//    (deterministic_values()).  Wall-clock timings (histograms, per-shard
-//    load gauges, merge counts) are kNondeterministic and excluded.
+//    (deterministic_values()).  Wall-clock timings (histograms, timing
+//    gauges) and any value that depends on how the work was scheduled are
+//    kNondeterministic and excluded.
 //    The instrumented components guarantee this by *publishing* counter
 //    values from their serialized member state (Counter::set), never by
 //    maintaining a parallel live count that could drift.
@@ -53,8 +54,8 @@ class Registry;
 class Span;
 
 enum class Determinism {
-  kDeterministic,     // bit-identical at any threads x shards; fuzzer-pinned
-  kNondeterministic,  // wall-clock or partition-dependent; excluded
+  kDeterministic,     // bit-identical at any threads/restore; fuzzer-pinned
+  kNondeterministic,  // wall-clock or schedule-dependent; excluded
 };
 
 /// Monotonic event count.  Deterministic counters are *published* with
@@ -82,7 +83,7 @@ class Counter {
   std::uint64_t value_ = 0;
 };
 
-/// Point-in-time level (window fill, active paths, per-shard load).
+/// Point-in-time level (window fill, active paths, pinned links).
 class Gauge {
  public:
   void set(double v) {
@@ -211,7 +212,7 @@ class Registry {
 
   /// The deterministic metric set as raw bits: counters by value, gauges
   /// bit_cast to uint64 — the exact map two runs of differing threads /
-  /// shards / restore history must agree on.  Histograms never enter.
+  /// restore history must agree on.  Histograms never enter.
   [[nodiscard]] std::map<std::string, std::uint64_t> deterministic_values()
       const;
 

@@ -3,12 +3,11 @@
 //
 // Spans nest: the monitoring stack opens `tick` in ScenarioRunner::step
 // (or per row in LiaMonitor::observe_block), `ingest` around snapshot
-// production, `accumulate`/`solve` inside LiaMonitor::observe, and
-// `merge` inside the sharded gather — and each records its *exclusive*
-// time: opening a child pauses the parent's util::Timer, closing it
-// resumes, so a phase histogram answers "where did this tick's time go"
-// without double counting.  Nesting is tracked per registry
-// (single-writer, like the registry itself).
+// production, and `accumulate`/`solve` inside LiaMonitor::observe — and
+// each records its *exclusive* time: opening a child pauses the parent's
+// util::Timer, closing it resumes, so a phase histogram answers "where did
+// this tick's time go" without double counting.  Nesting is tracked per
+// registry (single-writer, like the registry itself).
 //
 // A null registry makes the span a no-op, which is how components stay
 // uninstrumented by default; under LOSSTOMO_NO_TELEMETRY the body

@@ -121,7 +121,7 @@ GeneratedBase generate_base(const TopologySpec& topology) {
 // Pre-resolved metric handles: every name is interned once at attach time,
 // so the per-tick publishing path is plain pointer stores.  The counters are
 // *published* from the runner's serialized ledgers (tick_, events_applied_,
-// event_counts_), never live-incremented — bit-identity across thread/shard
+// event_counts_), never live-incremented — bit-identity across thread
 // counts and checkpoint restore follows from the ledgers', for free.
 struct ScenarioRunner::Telemetry {
   obs::Registry* registry;

@@ -1,5 +1,6 @@
-// Randomized shard-parity harness for core::ShardedMonitor /
-// core::ShardedPairMoments: sharding must NEVER change an inference.
+// Randomized thread-count parity harness for the flat pair-indexed
+// monitor (kSharingPairs accumulator): the thread count must NEVER change
+// an inference.
 //
 // Two fuzz regimes, both seeded and fully deterministic:
 //
@@ -7,18 +8,16 @@
 //    constructive branching-tree family (topology::make_branching_tree —
 //    every junction branches among the initial paths, every fresh link
 //    attaches at a branching junction) with random churn scripts (leaves,
-//    rejoins, grow_links bursts), driven through ScenarioRunner at shard
-//    counts {1,2,3,7} x thread counts {1,2,8}.  Inferences must be
-//    BIT-IDENTICAL to the unsharded streaming monitor, with exactly ONE
-//    factorization per run, zero downdate fallbacks, zero jitter — the
-//    merge is a value gather, so shard count can never cost even a
-//    refactorization.
+//    rejoins, grow_links bursts), driven through ScenarioRunner at thread
+//    counts {1,2,8}.  Inferences must be BIT-IDENTICAL to the threads=1
+//    run, with exactly ONE factorization per run, zero downdate
+//    fallbacks, zero jitter.
 //
 //  * Synthetic-feed (degraded regime): a noisy Gaussian feed over the
 //    same tree family whose window covariances routinely drop equations
 //    until G goes singular — the jitter / rank-revealing / refactorize
-//    degradation path.  Sharding must track the flat accumulator
-//    bit-identically THERE TOO, including every factor-cache counter.
+//    degradation path.  threads=8 must track threads=1 bit-identically
+//    THERE TOO, including every factor-cache counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,8 +27,6 @@
 #include <vector>
 
 #include "core/monitor.hpp"
-#include "core/sharded_moments.hpp"
-#include "core/sharded_monitor.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "net/graph.hpp"
@@ -53,7 +50,7 @@ namespace {
 scenario::ScenarioSpec random_spec(std::uint64_t seed) {
   stats::Rng rng(seed);
   scenario::ScenarioSpec spec;
-  spec.name = "sharded-parity-" + std::to_string(seed);
+  spec.name = "pair-thread-parity-" + std::to_string(seed);
   // branching 4, not 2: a binary junction that loses one path stops
   // branching and leaves its two links indistinguishable (exact
   // singularity), so leave events demand a third child — and under the
@@ -129,10 +126,9 @@ scenario::ScenarioSpec random_spec(std::uint64_t seed) {
   return spec;
 }
 
-MonitorOptions runner_options(std::size_t shards, std::size_t threads) {
+MonitorOptions runner_options(std::size_t threads) {
   MonitorOptions options;
   options.accumulator = CovarianceAccumulator::kSharingPairs;
-  options.shards = shards;
   options.lia.variance.threads = threads;
   // Absorb whole churn bursts as rank-1/bordered factor steps (the
   // machinery under test) instead of tripping the drift cap.
@@ -165,31 +161,6 @@ ScenarioRun drive_scenario(const scenario::ScenarioSpec& spec,
     run.refactorizations = eqs->refactorizations();
     run.downdate_fallbacks = eqs->downdate_fallbacks();
   }
-
-  const auto* acc = runner.monitor().sharded_accumulator();
-  if (options.shards > 0) {
-    // Shard bookkeeping: every path owned exactly once, every sharing
-    // pair owned exactly once (intra-shard or boundary), coordinator
-    // merges recorded.
-    EXPECT_NE(acc, nullptr) << label;
-    if (acc) {
-      EXPECT_EQ(acc->shard_count(), options.shards) << label;
-      std::size_t paths = 0;
-      std::size_t pairs = acc->cross_shard_pairs();
-      for (std::size_t s = 0; s < acc->shard_count(); ++s) {
-        paths += acc->shard_path_count(s);
-        pairs += acc->shard_pair_count(s);
-      }
-      EXPECT_EQ(paths, runner.monitor().routing().rows()) << label;
-      EXPECT_EQ(pairs, acc->pair_store()->pair_count()) << label;
-      EXPECT_GT(acc->merges(), 0u) << label;
-      if (options.shards > 1) {
-        EXPECT_GT(acc->cross_shard_pairs(), 0u) << label;
-      }
-    }
-  } else {
-    EXPECT_EQ(acc, nullptr) << label;
-  }
   return run;
 }
 
@@ -209,45 +180,43 @@ void expect_bit_identical(const std::vector<std::optional<LossInference>>& a,
   EXPECT_GT(compared, min_compared) << label;
 }
 
-class ShardedParity : public ::testing::TestWithParam<std::uint64_t> {};
+class PairThreadParity : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardedParity, ShardCountNeverChangesAnInference) {
+TEST_P(PairThreadParity, ThreadCountNeverChangesAnInference) {
   const auto spec = random_spec(GetParam());
   const std::string base = "seed=" + std::to_string(GetParam());
 
   const ScenarioRun reference =
-      drive_scenario(spec, runner_options(/*shards=*/0, /*threads=*/1),
-                     base + " flat");
-  // The instance family keeps the flat run in the tight regime: one
+      drive_scenario(spec, runner_options(/*threads=*/1), base + " threads=1");
+  // The instance family keeps the run in the tight regime: one
   // factorization, churn absorbed incrementally.
   ASSERT_EQ(reference.refactorizations, 1u) << base;
   ASSERT_EQ(reference.downdate_fallbacks, 0u) << base;
 
-  for (const std::size_t shards : {1u, 2u, 3u, 7u}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      const std::string label = base + " shards=" + std::to_string(shards) +
-                                " threads=" + std::to_string(threads);
-      const ScenarioRun run =
-          drive_scenario(spec, runner_options(shards, threads), label);
-      expect_bit_identical(reference.inferences, run.inferences, label);
-      // Sharding must not cost a refactorization or a downdate fallback.
-      EXPECT_EQ(run.refactorizations, 1u) << label;
-      EXPECT_EQ(run.downdate_fallbacks, 0u) << label;
-    }
+  // threads=1 again pins run-to-run determinism of the reference itself.
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    const std::string label = base + " threads=" + std::to_string(threads);
+    const ScenarioRun run =
+        drive_scenario(spec, runner_options(threads), label);
+    expect_bit_identical(reference.inferences, run.inferences, label);
+    // The thread count must not cost a refactorization or a downdate
+    // fallback.
+    EXPECT_EQ(run.refactorizations, 1u) << label;
+    EXPECT_EQ(run.downdate_fallbacks, 0u) << label;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedParity,
+INSTANTIATE_TEST_SUITE_P(Seeds, PairThreadParity,
                          ::testing::Values(3u, 17u, 29u, 101u));
 
 // ---------------------------------------------------------------------------
 // Synthetic-feed fuzz: the degradation path (dropped equations drive G
-// singular; jitter / rank-revealing / refactorize).  Sharding must track
-// the flat accumulator bit-identically there too, counters included.
+// singular; jitter / rank-revealing / refactorize).  threads=8 must track
+// threads=1 bit-identically there too, counters included.
 // ---------------------------------------------------------------------------
 
 MonitorOptions direct_options(std::size_t threads) {
-  MonitorOptions options = runner_options(/*shards=*/0, threads);
+  MonitorOptions options = runner_options(threads);
   options.window = 10;
   options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
   options.lia.variance.rank_revealing_min_attempts = 1;
@@ -331,14 +300,11 @@ FuzzInstance make_instance(std::uint64_t seed) {
   return instance;
 }
 
-// Drives one monitor (flat LiaMonitor or ShardedMonitor — anything with
-// the churn surface) through the instance.  The feed draws snapshots over
+// Drives one monitor through the instance.  The feed draws snapshots over
 // the FINAL link universe and projects through the monitor's current
-// routing rows, so every variant sees one deterministic sequence.
-template <typename Monitor>
-std::vector<std::optional<LossInference>> drive(Monitor& monitor,
-                                                const FuzzInstance& instance,
-                                                const LiaMonitor& state) {
+// routing rows, so every thread count sees one deterministic sequence.
+std::vector<std::optional<LossInference>> drive(LiaMonitor& monitor,
+                                                const FuzzInstance& instance) {
   std::size_t final_cols = instance.r.cols();
   for (const auto& event : instance.script) final_cols += event.new_links;
 
@@ -360,7 +326,7 @@ std::vector<std::optional<LossInference>> drive(Monitor& monitor,
     for (std::size_t k = 0; k < x.size(); ++k) {
       x[k] = rng.gaussian(-0.05, 0.1 + 0.01 * static_cast<double>(k));
     }
-    const auto& r = state.routing();
+    const auto& r = monitor.routing();
     std::vector<double> y(r.rows(), 0.0);
     for (std::size_t i = 0; i < r.rows(); ++i) {
       if (!active[i]) continue;  // deterministic filler for inactive rows
@@ -373,103 +339,32 @@ std::vector<std::optional<LossInference>> drive(Monitor& monitor,
   return out;
 }
 
-class ShardedDegraded : public ::testing::TestWithParam<std::uint64_t> {};
+class PairDegradedParity : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ShardedDegraded, TracksFlatAccumulatorThroughDegradation) {
+TEST_P(PairDegradedParity, ThreadCountTracksThroughDegradation) {
   const auto instance = make_instance(GetParam());
-  LiaMonitor flat(instance.r, direct_options(/*threads=*/1));
-  const auto reference = drive(flat, instance, flat);
-  const auto* flat_eqs = flat.streaming_equations();
-  ASSERT_NE(flat_eqs, nullptr);
+  LiaMonitor reference_monitor(instance.r, direct_options(/*threads=*/1));
+  const auto reference = drive(reference_monitor, instance);
+  const auto* reference_eqs = reference_monitor.streaming_equations();
+  ASSERT_NE(reference_eqs, nullptr);
 
-  for (const std::size_t shards : {2u, 5u}) {
-    ShardedMonitor monitor(instance.r, shards, direct_options(/*threads=*/1));
-    const auto out = drive(monitor, instance, monitor.monitor());
-    const std::string label = "seed=" + std::to_string(GetParam()) +
-                              " shards=" + std::to_string(shards);
-    expect_bit_identical(reference, out, label, /*min_compared=*/10);
-    // The degradation path itself must be replayed step for step: same
-    // refactorization count, same downdate fallbacks.
-    const auto* eqs = monitor.monitor().streaming_equations();
-    ASSERT_NE(eqs, nullptr) << label;
-    EXPECT_EQ(eqs->refactorizations(), flat_eqs->refactorizations()) << label;
-    EXPECT_EQ(eqs->downdate_fallbacks(), flat_eqs->downdate_fallbacks())
-        << label;
-  }
+  LiaMonitor monitor(instance.r, direct_options(/*threads=*/8));
+  const auto out = drive(monitor, instance);
+  const std::string label =
+      "seed=" + std::to_string(GetParam()) + " threads=8";
+  expect_bit_identical(reference, out, label, /*min_compared=*/10);
+  // The degradation path itself must be replayed step for step: same
+  // refactorization count, same downdate fallbacks.
+  const auto* eqs = monitor.streaming_equations();
+  ASSERT_NE(eqs, nullptr) << label;
+  EXPECT_EQ(eqs->refactorizations(), reference_eqs->refactorizations())
+      << label;
+  EXPECT_EQ(eqs->downdate_fallbacks(), reference_eqs->downdate_fallbacks())
+      << label;
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ShardedDegraded,
+INSTANTIATE_TEST_SUITE_P(Seeds, PairDegradedParity,
                          ::testing::Values(3u, 101u));
-
-// ---------------------------------------------------------------------------
-// Wrapper / partition specifics.
-// ---------------------------------------------------------------------------
-
-TEST(ShardedParityExtras, ExplicitPartitionIsBitIdenticalToo) {
-  const auto instance = make_instance(7);
-  LiaMonitor flat(instance.r, direct_options(/*threads=*/2));
-  const auto reference = drive(flat, instance, flat);
-
-  // Round-robin the initial paths explicitly; grown paths still hash.
-  MonitorOptions options = direct_options(/*threads=*/2);
-  options.partition.resize(instance.r.rows());
-  for (std::size_t i = 0; i < options.partition.size(); ++i) {
-    options.partition[i] = static_cast<std::uint32_t>(i % 3);
-  }
-  ShardedMonitor monitor(instance.r, 3, options);
-  const auto out = drive(monitor, instance, monitor.monitor());
-  expect_bit_identical(reference, out, "explicit partition",
-                       /*min_compared=*/10);
-  EXPECT_EQ(monitor.shard_of(0), 0u);
-  EXPECT_EQ(monitor.shard_of(1), 1u);
-  EXPECT_EQ(monitor.shard_of(2), 2u);
-  EXPECT_EQ(monitor.shard_count(), 3u);
-  std::size_t paths = 0;
-  for (std::size_t s = 0; s < 3; ++s) paths += monitor.shard_stats(s).paths;
-  EXPECT_EQ(paths, monitor.monitor().routing().rows());
-}
-
-TEST(ShardedParityExtras, HashPartitionIsDeterministic) {
-  for (const std::size_t shards : {1u, 2u, 5u}) {
-    for (std::size_t path = 0; path < 64; ++path) {
-      const auto s = ShardedPairMoments::hash_shard(path, shards);
-      EXPECT_LT(s, shards);
-      EXPECT_EQ(s, ShardedPairMoments::hash_shard(path, shards));
-    }
-  }
-}
-
-TEST(ShardedParityExtras, ConfigurationValidation) {
-  const linalg::SparseBinaryMatrix r(4, {{0, 1}, {0, 2}, {0, 3}});
-
-  // shards > 0 requires the kSharingPairs accumulator.
-  MonitorOptions dense;
-  dense.shards = 2;
-  dense.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
-  EXPECT_THROW(LiaMonitor(r, dense), std::invalid_argument);
-
-  // partition without shards is a configuration error.
-  MonitorOptions stray;
-  stray.partition = {0, 0, 0};
-  EXPECT_THROW(LiaMonitor(r, stray), std::invalid_argument);
-
-  // Partition entries must stay below the shard count, and the partition
-  // must not outnumber the paths.
-  MonitorOptions bad;
-  bad.shards = 2;
-  bad.accumulator = CovarianceAccumulator::kSharingPairs;
-  bad.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
-  bad.partition = {0, 2, 0};
-  EXPECT_THROW(LiaMonitor(r, bad), std::invalid_argument);
-  bad.partition = {0, 1, 0, 1, 0};
-  EXPECT_THROW(LiaMonitor(r, bad), std::invalid_argument);
-
-  // The wrapper rejects shards == 0 and batch-only variance backends.
-  EXPECT_THROW(ShardedMonitor(r, 0), std::invalid_argument);
-  MonitorOptions qr;
-  qr.lia.variance.method = VarianceMethod::kDenseQr;
-  EXPECT_THROW(ShardedMonitor(r, 2, qr), std::invalid_argument);
-}
 
 }  // namespace
 }  // namespace losstomo::core

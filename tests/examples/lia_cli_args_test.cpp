@@ -62,11 +62,20 @@ TEST(LiaCliArgs, UnknownModeExits2WithUsage) {
 
 TEST(LiaCliArgs, UnknownKeyExits2WithUsage) {
   // `tick=` is a typo for `ticks=`: it must fail loudly, not run the
-  // scenario with the default tick count.
-  const auto result =
-      run_cli("mode=scenario scenario=" + scenario_fixture() + " tick=40");
-  EXPECT_EQ(result.exit_code, 2) << result.output;
-  EXPECT_NE(result.output.find("usage:"), std::string::npos) << result.output;
+  // scenario with the default tick count.  `shards=` named a partitioned
+  // accumulator that no longer exists; both modes that once took it must
+  // reject it the same way, not ignore it.
+  const std::string scenario = "mode=scenario scenario=" + scenario_fixture();
+  for (const std::string& argv_tail :
+       {scenario + " tick=40", scenario + " shards=2",
+        std::string("mode=monitor topology=t paths=p snapshots=s shards=2")}) {
+    const auto result = run_cli(argv_tail);
+    EXPECT_EQ(result.exit_code, 2) << argv_tail << '\n' << result.output;
+    EXPECT_NE(result.output.find("unknown argument"), std::string::npos)
+        << argv_tail << '\n' << result.output;
+    EXPECT_NE(result.output.find("usage:"), std::string::npos)
+        << argv_tail << '\n' << result.output;
+  }
 }
 
 TEST(LiaCliArgs, TrailingGarbageExits2) {

@@ -326,19 +326,26 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
   for (const auto& y : stream) (void)original.observe(y);
   const auto image = image_of(original);
 
-  auto other = options;
-  other.window = options.window + 1;
-  core::LiaMonitor target(rrm.matrix(), other);
-  try {
-    restore_from_image(target, image);
-    FAIL() << "accepted a checkpoint from a different configuration";
-  } catch (const CheckpointError& e) {
-    EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+  // A different window, and the pair-indexed accumulator where the image
+  // holds the dense one: both are part of the configuration fingerprint.
+  auto other_window = options;
+  other_window.window = options.window + 1;
+  const auto other_accumulator =
+      monitor_options(core::CovarianceAccumulator::kSharingPairs,
+                      core::MonitorEngine::kStreaming);
+  for (const auto& other : {other_window, other_accumulator}) {
+    core::LiaMonitor target(rrm.matrix(), other);
+    try {
+      restore_from_image(target, image);
+      FAIL() << "accepted a checkpoint from a different configuration";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+    }
+    // The failed restore must leave the target fully usable (no partial
+    // state): it still warms up and diagnoses on its own configuration.
+    for (const auto& y : stream) (void)target.observe(y);
+    EXPECT_TRUE(target.warmed_up());
   }
-  // The failed restore must leave the target fully usable (no partial
-  // state): it still warms up and diagnoses on its own configuration.
-  for (const auto& y : stream) (void)target.observe(y);
-  EXPECT_TRUE(target.warmed_up());
 }
 
 }  // namespace

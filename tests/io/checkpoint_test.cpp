@@ -151,6 +151,20 @@ TEST(Checkpoint, WrongMagicAndVersionAreTyped) {
   } catch (const CheckpointError& e) {
     EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadVersion);
   }
+  // An image from the previous format version — a real file a
+  // not-yet-upgraded process could leave behind — is refused too: there is
+  // no cross-version migration.
+  auto old_version = sample_image();
+  const std::uint32_t previous = CheckpointWriter::kVersion - 1;
+  for (std::size_t b = 0; b < 4; ++b) {
+    old_version[4 + b] = static_cast<std::uint8_t>(previous >> (8 * b));
+  }
+  try {
+    auto reader = CheckpointReader::from_bytes(std::move(old_version));
+    FAIL() << "accepted format version " << previous;
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kBadVersion);
+  }
 }
 
 TEST(Checkpoint, OversizedLengthPrefixDoesNotAllocate) {

@@ -110,9 +110,9 @@ TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
   Registry registry;
   Counter& det_counter = registry.counter("monitor.rank1_updates");
   Gauge& det_gauge = registry.gauge("monitor.paths");
-  Counter& wall = registry.counter("monitor.merges",
+  Counter& wall = registry.counter("ingest.wall_ns",
                                    Determinism::kNondeterministic);
-  Gauge& load = registry.gauge("monitor.shard0.paths",
+  Gauge& load = registry.gauge("ingest.queue_depth",
                                Determinism::kNondeterministic);
   Histogram& hist = registry.histogram("span.tick.seconds");
   det_counter.set(41);
@@ -125,8 +125,8 @@ TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
   EXPECT_EQ(values.size(), 2u);
   ASSERT_TRUE(values.contains("monitor.rank1_updates"));
   ASSERT_TRUE(values.contains("monitor.paths"));
-  EXPECT_FALSE(values.contains("monitor.merges"));
-  EXPECT_FALSE(values.contains("monitor.shard0.paths"));
+  EXPECT_FALSE(values.contains("ingest.wall_ns"));
+  EXPECT_FALSE(values.contains("ingest.queue_depth"));
   EXPECT_FALSE(values.contains("span.tick.seconds"));
 #ifndef LOSSTOMO_NO_TELEMETRY
   EXPECT_EQ(values.at("monitor.rank1_updates"), 41u);

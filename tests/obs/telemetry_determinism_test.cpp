@@ -1,14 +1,14 @@
 // The telemetry determinism contract, pinned end to end: every metric
-// registered kDeterministic must be BIT-identical across thread counts,
-// shard counts, and a checkpoint/restore.  The instrumented components
+// registered kDeterministic must be BIT-identical across thread counts
+// and a checkpoint/restore.  The instrumented components
 // earn this by *publishing* counters from their serialized engine state
 // (obs::Registry docs) — so this fuzzer is the tripwire for anyone who
 // later wires a live, order-dependent count into a deterministic slot.
 //
 // The drill: one churn-heavy branching-tree scenario (every event type
 // the runner grows through, including link discovery) driven to
-// completion under threads x shards ∈ {1,2,8} x {0,2,4}, each run with
-// its own registry; all nine deterministic_values() maps must be equal.
+// completion under threads ∈ {1,2,8}, each run with its own registry;
+// all three deterministic_values() maps must be equal.
 // Then the checkpoint leg: save mid-run, restore into a fresh runner and
 // a fresh registry, and require the map to match at the restore point and
 // again at the end of the run.
@@ -60,30 +60,24 @@ ScenarioSpec fuzz_spec() {
 }
 
 // All runs use the sharing-pairs accumulator so the published metric SET
-// is identical; shards == 0 is the flat PairMoments, shards > 0 the
-// sharded gather (bit-identical to flat by contract, which is exactly
-// what this fuzzer pins).
-core::MonitorOptions options_for(std::size_t threads, std::size_t shards,
-                                 Registry& registry) {
+// (monitor.pairs included) is identical.
+core::MonitorOptions options_for(std::size_t threads, Registry& registry) {
   core::MonitorOptions options;
   options.lia.variance.threads = threads;
   options.accumulator = core::CovarianceAccumulator::kSharingPairs;
-  options.shards = shards;
   options.telemetry = &registry;
   return options;
 }
 
-std::map<std::string, std::uint64_t> run_to_completion(std::size_t threads,
-                                                       std::size_t shards) {
+std::map<std::string, std::uint64_t> run_to_completion(std::size_t threads) {
   Registry registry;
-  ScenarioRunner runner(fuzz_spec(),
-                        options_for(threads, shards, registry));
+  ScenarioRunner runner(fuzz_spec(), options_for(threads, registry));
   while (runner.ticks_run() < runner.spec().ticks) runner.step();
   return registry.deterministic_values();
 }
 
-TEST(TelemetryDeterminism, BitIdenticalAcrossThreadsAndShards) {
-  const auto reference = run_to_completion(1, 0);
+TEST(TelemetryDeterminism, BitIdenticalAcrossThreads) {
+  const auto reference = run_to_completion(1);
   ASSERT_FALSE(reference.empty());
   // Spot checks that the map actually covers the engine counters this
   // fuzzer exists to pin — an accidentally-empty registry passes nothing.
@@ -94,11 +88,8 @@ TEST(TelemetryDeterminism, BitIdenticalAcrossThreadsAndShards) {
   EXPECT_TRUE(reference.contains("scenario.events.grow_links"));
 
   for (const std::size_t threads : {1, 2, 8}) {
-    for (const std::size_t shards : {0, 2, 4}) {
-      const auto values = run_to_completion(threads, shards);
-      EXPECT_EQ(values, reference)
-          << "threads=" << threads << " shards=" << shards;
-    }
+    EXPECT_EQ(run_to_completion(threads), reference)
+        << "threads=" << threads;
   }
 }
 
@@ -111,7 +102,7 @@ TEST(TelemetryDeterminism, CheckpointRestoreResumesCountersExactly) {
   // Reference run records the deterministic map at the kill tick and at
   // the end.
   Registry ref_registry;
-  ScenarioRunner reference(spec, options_for(2, 2, ref_registry));
+  ScenarioRunner reference(spec, options_for(2, ref_registry));
   while (reference.ticks_run() < kill_at) reference.step();
   reference.save_checkpoint(file);
   const auto at_kill = ref_registry.deterministic_values();
@@ -120,11 +111,10 @@ TEST(TelemetryDeterminism, CheckpointRestoreResumesCountersExactly) {
 
   // A fresh runner + fresh registry restored from the file must publish
   // the identical map immediately, and stay identical to the end — at a
-  // different thread count for good measure.  (The shard count is part of
-  // the checkpoint identity and must match; threads are a pure execution
-  // knob.)
+  // different thread count for good measure (threads are a pure execution
+  // knob, not part of the checkpoint identity).
   Registry resumed_registry;
-  ScenarioRunner resumed(spec, options_for(8, 2, resumed_registry));
+  ScenarioRunner resumed(spec, options_for(8, resumed_registry));
   resumed.restore_checkpoint(file);
   EXPECT_EQ(resumed_registry.deterministic_values(), at_kill);
   while (resumed.ticks_run() < spec.ticks) resumed.step();

@@ -2,11 +2,12 @@
 // level: kill the run at EVERY tick of a churn scenario, restore into a
 // fresh runner, and require the resumed inferences to be bit-identical to
 // the uninterrupted run with the cached factor carried across (exactly one
-// factorization per resumed run, no downdate fallbacks, no jitter).  Also
-// pins the scripted failover events (checkpoint / restore / handoff — the
-// shipped scenarios/failover.scn) to be invisible to the inference stream,
-// and that a damaged checkpoint is rejected cleanly with the runner left
-// fully usable.
+// factorization per resumed run, no downdate fallbacks, no jitter) — for
+// the dense and the pair-indexed (kSharingPairs) accumulator alike, and
+// across link-universe growth.  Also pins the scripted failover events
+// (checkpoint / restore / handoff — the shipped scenarios/failover.scn) to
+// be invisible to the inference stream, and that a damaged checkpoint is
+// rejected cleanly with the runner left fully usable.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -51,9 +52,45 @@ ScenarioSpec drill_spec() {
   return spec;
 }
 
+// Link-discovery drill over the constructive branching-tree family: the
+// restore path must rebuild the accumulator mid-growth, after the link
+// universe has already widened.
+ScenarioSpec grow_links_drill_spec() {
+  ScenarioSpec spec;
+  spec.name = "grow-links-drill";
+  spec.topology.kind = TopologySpec::Kind::kBranchingTree;
+  spec.topology.depth = 3;
+  spec.topology.branching = 4;
+  spec.topology.extra_leaves = 3;
+  spec.topology.seed = 5;
+  spec.window = 30;
+  spec.ticks = 70;
+  spec.seed = 11;
+  spec.p = 0.6;
+  spec.probes = 800;
+  spec.min_good_loss = 0.002;
+  spec.reserve_paths = 3;
+  spec.events = {
+      {.tick = 40, .type = EventType::kGrowLinks, .count = 2},
+      {.tick = 55, .type = EventType::kGrowLinks, .count = 1},
+  };
+  return spec;
+}
+
 core::MonitorOptions drill_options(std::size_t threads) {
   core::MonitorOptions options;
   options.lia.variance.threads = threads;
+  return options;
+}
+
+// The pair-indexed accumulator's drill configuration.  Whole churn bursts
+// are absorbed as rank-1/bordered factor steps instead of tripping the
+// drift cap, so one factorization covers the whole run.
+core::MonitorOptions pair_drill_options() {
+  core::MonitorOptions options = drill_options(1);
+  options.accumulator = core::CovarianceAccumulator::kSharingPairs;
+  options.lia.variance.factor_flip_threshold = 1u << 20;
+  options.lia.variance.factor_update_cap = 1u << 20;
   return options;
 }
 
@@ -117,10 +154,27 @@ void expect_bit_identical_resume(const ScenarioSpec& spec,
 
 TEST(Failover, KillAtEveryTickResumesBitIdentically) {
   const auto spec = drill_spec();
-  const auto options = drill_options(1);
+  for (const bool pairs : {false, true}) {
+    const auto options = pairs ? pair_drill_options() : drill_options(1);
+    const std::string config = pairs ? "pairs" : "dense";
+    const auto ref = uninterrupted(spec, options);
+    ASSERT_EQ(ref.images.size(), spec.ticks) << config;
+    for (std::size_t kill_at = 1; kill_at < spec.ticks; ++kill_at) {
+      expect_bit_identical_resume(
+          spec, options, ref, kill_at,
+          config + "/kill_at=" + std::to_string(kill_at));
+    }
+  }
+}
+
+TEST(Failover, GrowLinksDrillResumesAcrossUniverseGrowth) {
+  const auto spec = grow_links_drill_spec();
+  const auto options = pair_drill_options();
   const auto ref = uninterrupted(spec, options);
-  ASSERT_EQ(ref.images.size(), spec.ticks);
-  for (std::size_t kill_at = 1; kill_at < spec.ticks; ++kill_at) {
+  ASSERT_EQ(ref.refactorizations, 1u);
+  // Curated kill points: mid-warmup, right after the window fills,
+  // straight after each grow_links burst, and late in the run.
+  for (const std::size_t kill_at : {12u, 31u, 41u, 56u, 65u}) {
     expect_bit_identical_resume(spec, options, ref, kill_at,
                                 "kill_at=" + std::to_string(kill_at));
   }

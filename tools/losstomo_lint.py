@@ -8,9 +8,8 @@ Usage:
     python3 tools/losstomo_lint.py --fixtures   # run the fixture corpus
     python3 tools/losstomo_lint.py --list-rules
 
-The whole reproduction rests on one contract: streaming, sharded,
-parallel, and restored execution must be bit-identical to the batch
-reference.  The parity tests enforce that dynamically; this linter makes
+The whole reproduction rests on one contract: streaming, parallel, and
+restored execution must be bit-identical to the batch reference.  The parity tests enforce that dynamically; this linter makes
 the invariants they assume *statically* checkable, so an order-dependent
 hash-map walk or a stray RNG call fails CI instead of surfacing as a
 flaky 1-ulp parity diff weeks later.  Exits non-zero with a per-finding
