@@ -1,7 +1,8 @@
-// Steady-state monitoring tick latency: the streaming engine (incremental
+// Steady-state monitoring tick latency: the streaming monitor (incremental
 // sliding-window covariance + cached-factor normal-equation refresh)
-// against the batch relearn path, on the same tree instance the kernel
-// microbench records (np=646 at the defaults), plus a large-overlay
+// against the paper's batch procedure rerun from scratch (Lia::learn on
+// the m preceding snapshots, then infer), on the same tree instance the
+// kernel microbench records (np=646 at the defaults), plus a large-overlay
 // scenario sizing the sparse sharing-pair store.
 //
 //   build/bench_monitor_streaming [nodes=1300] [branching=8] [m=200]
@@ -10,16 +11,16 @@
 //                                 [overlay_ticks=8] [ingest_snapshots=192]
 //                                 [threads=0|1,2,8] [--json <path>]
 //
-// Both engines consume an identical snapshot sequence; every measured tick
+// Both consume an identical snapshot sequence; every measured tick
 // cross-checks the two inferences (max |loss diff| is part of the report).
 // The headline figure is the keep-all-policy speedup (G fixed, factorized
-// once), where the engines agree exactly on the recorded instance.  Under
+// once), where the two agree exactly on the recorded instance.  Under
 // drop-negative the cached factor follows each pair sign flip by a rank-1
 // up/downdate (linalg::UpdatableCholesky) and a full refactorization runs
 // only on the fallback conditions — the report carries the
 // refactorization / rank-1 / fallback counters.  Residual caveat: a pair
 // whose sample covariance sits within the accumulator's drift of zero can
-// flip its drop decision against the batch engine (the drop policy is
+// flip its drop decision against the batch relearn (the drop policy is
 // discontinuous at cov = 0 — same caveat as blocked-vs-reference in
 // core/variance_estimator.cpp), which can show up as a nonzero
 // drop_max_loss_diff on some instances.
@@ -29,8 +30,8 @@
 // ~5100 paths — and records what streaming drop-negative costs at that
 // scale: sharing-pair store construction seconds and bytes (the
 // structure that replaced the O(np^2) pair scan) and the steady-state
-// streaming tick.  The batch engine is deliberately not run there — its
-// O(m np^2) relearn is exactly what the streaming engine exists to avoid.
+// streaming tick.  The batch relearn is deliberately not run there — its
+// O(m np^2) cost is exactly what the streaming monitor exists to avoid.
 //
 // The ingest section records what the LTBT binary trace format buys over
 // ASCII parsing on the same overlay: one phi campaign of ingest_snapshots
@@ -45,6 +46,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 
 #include "common.hpp"
 #include "core/monitor.hpp"
@@ -75,16 +77,14 @@ EngineComparison compare_engines(const linalg::SparseBinaryMatrix& r,
                                  const std::vector<linalg::Vector>& snapshots,
                                  std::size_t m, std::size_t relearn_every,
                                  core::NegativeCovariancePolicy policy) {
-  core::MonitorOptions batch_options;
-  batch_options.window = m;
-  batch_options.relearn_every = relearn_every;
-  batch_options.engine = core::MonitorEngine::kBatch;
-  batch_options.lia.variance.negatives = policy;
-  core::MonitorOptions streaming_options = batch_options;
-  streaming_options.engine = core::MonitorEngine::kStreaming;
-
-  core::LiaMonitor batch(r, batch_options);
-  core::LiaMonitor streaming(r, streaming_options);
+  core::MonitorOptions options;
+  options.window = m;
+  options.relearn_every = relearn_every;
+  options.lia.variance.negatives = policy;
+  core::LiaMonitor streaming(r, options);
+  // The batch baseline relearns from scratch on the monitor's cadence.
+  core::Lia batch(r, options.lia);
+  std::size_t since_learn = 0;
 
   EngineComparison out;
   stats::RunningStat batch_tick, streaming_tick;
@@ -93,8 +93,20 @@ EngineComparison compare_engines(const linalg::SparseBinaryMatrix& r,
     // Warm-up: fill the window and run the first (factorizing) relearn
     // untimed; every later tick is steady state.
     const bool measured = t > m + 1;
+    std::optional<core::LossInference> from_batch;
     util::Timer batch_timer;
-    const auto from_batch = batch.observe(y);
+    if (t >= m) {
+      if (!batch.trained() || ++since_learn >= relearn_every) {
+        stats::SnapshotMatrix history(r.rows(), m);
+        for (std::size_t l = 0; l < m; ++l) {
+          const auto& past = snapshots[t - m + l];
+          std::copy(past.begin(), past.end(), history.sample(l).begin());
+        }
+        batch.learn(history);
+        since_learn = 0;
+      }
+      from_batch = batch.infer(y);
+    }
     const double batch_seconds = batch_timer.seconds();
     util::Timer streaming_timer;
     const auto from_streaming = streaming.observe(y);
@@ -110,11 +122,10 @@ EngineComparison compare_engines(const linalg::SparseBinaryMatrix& r,
   out.streaming_mean = streaming_tick.mean();
   out.batch_method = batch.variances().method;
   out.streaming_method = streaming.variances().method;
-  if (const auto* eqs = streaming.streaming_equations()) {
-    out.refactorizations = eqs->refactorizations();
-    out.rank1_updates = eqs->rank1_updates();
-    out.downdate_fallbacks = eqs->downdate_fallbacks();
-  }
+  const auto& eqs = streaming.streaming_equations();
+  out.refactorizations = eqs.refactorizations();
+  out.rank1_updates = eqs.rank1_updates();
+  out.downdate_fallbacks = eqs.downdate_fallbacks();
   return out;
 }
 
@@ -194,7 +205,6 @@ OverlayFigures run_overlay(std::size_t hosts, std::size_t m, std::size_t ticks,
 
   core::MonitorOptions options;
   options.window = m;
-  options.engine = core::MonitorEngine::kStreaming;
   options.lia.variance.negatives = core::NegativeCovariancePolicy::kDrop;
   core::LiaMonitor monitor(r, options);
   sim::ScenarioConfig config;
@@ -208,9 +218,9 @@ OverlayFigures run_overlay(std::size_t hosts, std::size_t m, std::size_t ticks,
     if (t > m + 1) tick_stat.add(tick_timer.seconds());
   }
   out.streaming_tick_seconds = tick_stat.mean();
-  const auto* eqs = monitor.streaming_equations();
-  out.refactorizations = eqs->refactorizations();
-  out.rank1_updates = eqs->rank1_updates();
+  const auto& eqs = monitor.streaming_equations();
+  out.refactorizations = eqs.refactorizations();
+  out.rank1_updates = eqs.rank1_updates();
 
   // Telemetry overhead probe: the identical feed (fresh simulator, same
   // seed) and monitor configuration, with a registry and flight recorder
@@ -369,8 +379,8 @@ int main(int argc, char** argv) {
             << " relearn_every=" << relearn_every
             << " threads=" << util::default_threads() << "\n\n";
 
-  // One shared snapshot sequence, so both engines and both policies see
-  // identical data.
+  // One shared snapshot sequence, so the streaming monitor, the batch
+  // relearn and both policies see identical data.
   sim::ScenarioConfig config;
   config.p = p;
   sim::SnapshotSimulator simulator(inst.graph, rrm, config, seed * 7);

@@ -61,15 +61,14 @@ ChurnFigures run_scenario(scenario::ScenarioSpec spec,
   out.np = runner.universe().path_count();
   out.nc = runner.universe().link_count();
   out.outcome = runner.run();
-  if (const auto* eqs = runner.monitor().streaming_equations()) {
-    out.refactorizations = eqs->refactorizations();
-    out.rank1_updates = eqs->rank1_updates();
-    out.pin_updates = eqs->pin_updates();
-    out.refine_iterations = eqs->refine_iterations();
-    if (const auto* store = eqs->pair_store()) {
-      out.store_pairs = store->pair_count();
-      out.store_bytes = store->bytes();
-    }
+  const auto& eqs = runner.monitor().streaming_equations();
+  out.refactorizations = eqs.refactorizations();
+  out.rank1_updates = eqs.rank1_updates();
+  out.pin_updates = eqs.pin_updates();
+  out.refine_iterations = eqs.refine_iterations();
+  if (const auto* store = eqs.pair_store()) {
+    out.store_pairs = store->pair_count();
+    out.store_bytes = store->bytes();
   }
   return out;
 }

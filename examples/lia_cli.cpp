@@ -19,8 +19,8 @@
 //             by content (binary traces by magic) and binary ingestion is
 //             zero-copy off the mmap; thin=k keeps every k-th snapshot:
 //       lia_cli mode=monitor topology=... paths=... snapshots=... [m=50]
-//               [relearn_every=1] [engine=streaming|batch] [tl=0.002]
-//               [format=auto|text|binary] [thin=1]
+//               [relearn_every=1] [tl=0.002] [format=auto|text|binary]
+//               [thin=1]
 //   convert:  converts a snapshot campaign between the text and binary
 //             trace formats (direction auto-detected from the input;
 //             doubles round-trip bit-identically in both directions):
@@ -32,8 +32,7 @@
 //             replay= drives the monitor from such a trace instead of the
 //             simulator (bit-identical inferences):
 //       lia_cli mode=scenario scenario=scenarios/flapping_mesh.scn
-//               [ticks=] [window=] [engine=streaming|batch]
-//               [accumulator=dense|pairs] [tl=0.002]
+//               [ticks=] [window=] [accumulator=dense|pairs] [tl=0.002]
 //               [record=<trace>] [replay=<trace>]
 //   ingest-drill: end-to-end parity drill for the binary ingestion path.
 //             Simulates a campaign, writes it both as text and as a binary
@@ -88,13 +87,11 @@ void print_usage(std::ostream& os) {
         "  generate   out= [hosts=] [m=] [seed=] [format=text|binary]\n"
         "  infer      topology= paths= snapshots= [tl=] [top=]\n"
         "  monitor    topology= paths= snapshots= [m=] [relearn_every=]\n"
-        "             [engine=streaming|batch] [format=auto|text|binary]\n"
-        "             [thin=] [tl=]\n"
+        "             [format=auto|text|binary] [thin=] [tl=]\n"
         "             [metrics=<file>] [metrics_every=<ticks>]\n"
         "  convert    in=<snapshots> out=<snapshots>\n"
         "  scenario   scenario=<file.scn> [ticks=] [window=]\n"
-        "             [engine=streaming|batch] [accumulator=dense|pairs]\n"
-        "             [tl=] [record=] [replay=]\n"
+        "             [accumulator=dense|pairs] [tl=] [record=] [replay=]\n"
         "             [metrics=<file>] [metrics_every=<ticks>]\n"
         "  ingest-drill      [hosts=] [m=] [ticks=] [dir=] [threads=]\n"
         "  checkpoint-drill  scenario= [kill_at=] [file=] [ticks=]\n"
@@ -239,7 +236,6 @@ int monitor(const util::Args& args) {
   const double tl = args.get_double("tl", 0.002);
   const auto m = args.get_size("m", 50);
   const auto relearn_every = args.get_size("relearn_every", 1);
-  const auto engine = args.get_string("engine", "streaming");
   const auto format = args.get_string("format", "auto");
   const auto thin_every = args.get_size("thin", 1);
   const auto metrics_file = args.get_string("metrics", "");
@@ -247,10 +243,6 @@ int monitor(const util::Args& args) {
   args.finish();
   if (topology_file.empty() || paths_file.empty() || snapshots_file.empty()) {
     std::cerr << "mode=monitor needs topology=, paths=, snapshots= files\n";
-    return 2;
-  }
-  if (engine != "streaming" && engine != "batch") {
-    std::cerr << "engine must be streaming|batch\n";
     return 2;
   }
   if (format != "auto" && format != "text" && format != "binary") {
@@ -283,8 +275,6 @@ int monitor(const util::Args& args) {
   monitor_options.window = m;
   monitor_options.relearn_every = relearn_every;
   if (telemetry) monitor_options.telemetry = &registry;
-  monitor_options.engine = engine == "batch" ? core::MonitorEngine::kBatch
-                                             : core::MonitorEngine::kStreaming;
   core::LiaMonitor monitor(rrm.matrix(), monitor_options);
   util::Table log({"tick", "congested links", "worst link loss"});
   std::size_t diagnosed = 0;
@@ -336,8 +326,7 @@ int monitor(const util::Args& args) {
   std::cout << '\n'
             << streamed << " snapshots streamed ("
             << (opened.binary ? "binary, zero-copy" : "text") << "), "
-            << diagnosed << " diagnosed (window m=" << m << ", " << engine
-            << " engine)\n";
+            << diagnosed << " diagnosed (window m=" << m << ")\n";
   if (streamed <= m) {
     std::cout << "note: the first m snapshots are learning-only; feed more "
                  "than m to see diagnoses\n";
@@ -354,7 +343,6 @@ int scenario_mode(const util::Args& args) {
   const double tl = args.get_double("tl", 0.002);
   const auto ticks_override = args.get_size("ticks", 0);
   const auto window_override = args.get_size("window", 0);
-  const auto engine = args.get_string("engine", "streaming");
   const auto accumulator = args.get_string("accumulator", "dense");
   const auto record_file = args.get_string("record", "");
   const auto replay_file = args.get_string("replay", "");
@@ -364,10 +352,6 @@ int scenario_mode(const util::Args& args) {
   if (scenario_file.empty()) {
     std::cerr << "mode=scenario needs scenario=<file> "
                  "(see scenarios/*.scn)\n";
-    return 2;
-  }
-  if (engine != "streaming" && engine != "batch") {
-    std::cerr << "engine must be streaming|batch\n";
     return 2;
   }
   if (accumulator != "dense" && accumulator != "pairs") {
@@ -385,8 +369,6 @@ int scenario_mode(const util::Args& args) {
     });
   }
   core::MonitorOptions options;
-  options.engine = engine == "batch" ? core::MonitorEngine::kBatch
-                                     : core::MonitorEngine::kStreaming;
   options.accumulator = accumulator == "pairs"
                             ? core::CovarianceAccumulator::kSharingPairs
                             : core::CovarianceAccumulator::kDense;
@@ -415,7 +397,7 @@ int scenario_mode(const util::Args& args) {
             << runner.universe().link_count() << " links, window "
             << runner.spec().window << ", " << runner.spec().ticks
             << " ticks, " << runner.timeline().size() << " events ("
-            << engine << " engine, " << accumulator << " accumulator";
+            << accumulator << " accumulator";
   std::cout << ")\n\n";
 
   util::Table log({"tick", "event(s)", "active", "congested", "worst loss"});
@@ -470,13 +452,12 @@ int scenario_mode(const util::Args& args) {
             << " s, event tick "
             << util::Table::num(outcome.event_tick_seconds, 5) << " s, max "
             << util::Table::num(outcome.max_tick_seconds, 5) << " s\n";
-  if (const auto* eqs = runner.monitor().streaming_equations()) {
-    std::cout << "factor cache: " << eqs->refactorizations()
-              << " refactorizations, " << eqs->rank1_updates()
-              << " rank-1 updates (" << eqs->pin_updates() << " pin borders), "
-              << eqs->refine_iterations() << " refinement steps, "
-              << eqs->links_pinned() << " links pinned\n";
-  }
+  const auto& eqs = runner.monitor().streaming_equations();
+  std::cout << "factor cache: " << eqs.refactorizations()
+            << " refactorizations, " << eqs.rank1_updates()
+            << " rank-1 updates (" << eqs.pin_updates() << " pin borders), "
+            << eqs.refine_iterations() << " refinement steps, "
+            << eqs.links_pinned() << " links pinned\n";
   if (telemetry) {
     registry.write_file(metrics_file);
     std::cout << "metrics -> " << metrics_file << '\n';
@@ -667,9 +648,8 @@ int checkpoint_drill(const util::Args& args) {
     reference.push_back(inf ? std::optional<linalg::Vector>(inf->loss)
                             : std::nullopt);
   });
-  const auto* ref_eqs = ref_runner.monitor().streaming_equations();
   const std::size_t ref_refactorizations =
-      ref_eqs ? ref_eqs->refactorizations() : 0;
+      ref_runner.monitor().streaming_equations().refactorizations();
 
   // Interrupted run: advance to the kill tick, checkpoint, and "die".
   {
@@ -718,8 +698,8 @@ int checkpoint_drill(const util::Args& args) {
       max_diff = std::max(max_diff, std::abs((*ref)[k] - inf->loss[k]));
     }
   });
-  const auto* eqs = resumed.monitor().streaming_equations();
-  const std::size_t refactorizations = eqs ? eqs->refactorizations() : 0;
+  const std::size_t refactorizations =
+      resumed.monitor().streaming_equations().refactorizations();
   std::cout << "resumed " << (spec.ticks - kill_at) << " ticks: max |diff| "
             << max_diff << " vs uninterrupted run, " << refactorizations
             << " refactorizations (reference " << ref_refactorizations

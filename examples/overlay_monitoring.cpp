@@ -6,13 +6,11 @@
 // variances, and flags the congested links of the newest snapshot —
 // including whether each sits on an inter-AS (peering) or intra-AS link.
 //
-// The coordinator runs the monitor's streaming engine: the window
-// covariance is kept current by O(np^2) rank-1 updates and the normal
-// equations are refreshed from it, so the per-tick cost is independent of
-// m (pass engine=batch to compare against the full relearn).
+// The coordinator runs the streaming monitor: the window covariance is
+// kept current by O(np^2) rank-1 updates and the normal equations are
+// refreshed from it, so the per-tick cost is independent of m.
 //
 // Run:  ./build/examples/overlay_monitoring [hosts=24] [windows=12] [m=25]
-//                                           [engine=streaming|batch]
 #include <iostream>
 
 #include "core/monitor.hpp"
@@ -33,14 +31,7 @@ int main(int argc, char** argv) {
   const auto windows = args.get_size("windows", 12);
   const auto m = args.get_size("m", 40);
   const auto seed = args.get_size("seed", 1);
-  const auto engine_name = args.get_string("engine", "streaming");
   args.finish();
-  if (engine_name != "streaming" && engine_name != "batch") {
-    std::cerr << "engine must be streaming|batch\n";
-    return 2;
-  }
-  const auto engine = engine_name == "batch" ? core::MonitorEngine::kBatch
-                                             : core::MonitorEngine::kStreaming;
 
   // --- Deploy the overlay -------------------------------------------------
   stats::Rng rng(seed);
@@ -63,7 +54,7 @@ int main(int argc, char** argv) {
   sim::SnapshotSimulator simulator(topo.graph, rrm, config, seed * 97);
 
   // --- Monitoring loop -----------------------------------------------------
-  core::LiaMonitor monitor(rrm.matrix(), {.window = m, .engine = engine});
+  core::LiaMonitor monitor(rrm.matrix(), {.window = m});
   util::Table log({"tick", "congested links", "inter-AS", "worst link loss",
                    "detected/actual"});
   stats::RunningStat tick_seconds;
@@ -94,7 +85,7 @@ int main(int argc, char** argv) {
   log.print(std::cout);
   std::cout << "\nEach tick: variances re-learned on the last " << m
             << " snapshots, then the newest snapshot diagnosed (LIA).\n"
-            << engine_name << " engine: mean tick "
+            << "Mean tick "
             << util::Table::num(tick_seconds.mean() * 1e3, 3) << " ms over "
             << windows << " diagnosed ticks.\n";
   return 0;

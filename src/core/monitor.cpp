@@ -69,17 +69,41 @@ struct LiaMonitor::Telemetry {
 
 namespace {
 
-// Freeze the negative-covariance policy on the construction-time path set:
-// churned relearns run over active submatrices whose row count may cross
-// the kAuto pairwise cap, and the streaming and batch engines must resolve
-// the policy identically for parity.
+// Validates the options and freezes the negative-covariance policy on the
+// construction-time path set: churned relearns run over active submatrices
+// whose row count may cross the kAuto pairwise cap, and every relearn must
+// resolve the policy identically.
 MonitorOptions resolve_monitor_options(MonitorOptions options,
                                        const linalg::SparseBinaryMatrix& r) {
+  if (options.window < 2) throw std::invalid_argument("window must be >= 2");
+  if (options.relearn_every == 0) {
+    throw std::invalid_argument("relearn_every must be >= 1");
+  }
   options.lia.variance.negatives =
       resolve_negative_policy(options.lia.variance, r.rows())
           ? NegativeCovariancePolicy::kDrop
           : NegativeCovariancePolicy::kKeep;
+  if (options.accumulator == CovarianceAccumulator::kSharingPairs &&
+      options.lia.variance.negatives != NegativeCovariancePolicy::kDrop) {
+    throw std::invalid_argument(
+        "the sharing-pair accumulator requires the drop-negative policy");
+  }
   return options;
+}
+
+stats::StreamingMomentsOptions accumulator_options(
+    const MonitorOptions& options) {
+  return {.window = options.window,
+          .refresh_every = options.refresh_every,
+          .threads = options.lia.variance.threads};
+}
+
+// Path churn needs the per-pair drop bookkeeping of the drop-negative
+// policy.
+void require_drop_negative(const MonitorOptions& options) {
+  if (options.lia.variance.negatives != NegativeCovariancePolicy::kDrop) {
+    throw std::logic_error("path churn requires the drop-negative policy");
+  }
 }
 
 void save_estimate(io::CheckpointWriter& writer, const VarianceEstimate& e) {
@@ -112,40 +136,20 @@ VarianceEstimate restore_estimate(io::CheckpointReader& reader) {
 
 LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
     : options_(resolve_monitor_options(std::move(options), r)),
-      engine_(options_.engine),
       r_(std::move(r)),
-      lia_(r_, options_.lia) {
-  if (options_.window < 2) throw std::invalid_argument("window must be >= 2");
-  if (options_.relearn_every == 0) {
-    throw std::invalid_argument("relearn_every must be >= 1");
-  }
-  // The streaming solve covers the normal-equation methods; the paper-exact
-  // dense QR needs the materialised batch system.
-  if (options_.lia.variance.method == VarianceMethod::kDenseQr) {
-    engine_ = MonitorEngine::kBatch;
-  }
-  const bool drop_negative =
-      options_.lia.variance.negatives == NegativeCovariancePolicy::kDrop;
-  if (options_.accumulator == CovarianceAccumulator::kSharingPairs &&
-      (engine_ != MonitorEngine::kStreaming || !drop_negative)) {
-    throw std::invalid_argument(
-        "the sharing-pair accumulator requires the streaming engine with "
-        "the drop-negative policy");
-  }
-  if (engine_ == MonitorEngine::kStreaming) {
-    const stats::StreamingMomentsOptions accumulator_options{
-        .window = options_.window,
-        .refresh_every = options_.refresh_every,
-        .threads = options_.lia.variance.threads};
-    if (options_.accumulator == CovarianceAccumulator::kSharingPairs) {
-      store_ = std::make_shared<SharingPairStore>(
-          SharingPairStore::build(r_, options_.lia.variance.threads));
-      pair_accumulator_.emplace(store_, r_.rows(), accumulator_options);
-      equations_.emplace(r_, options_.lia.variance, store_);
-    } else {
-      accumulator_.emplace(r_.rows(), accumulator_options);
-      equations_.emplace(r_, options_.lia.variance);
-    }
+      lia_(r_, options_.lia),
+      store_(options_.accumulator == CovarianceAccumulator::kSharingPairs
+                 ? std::make_shared<SharingPairStore>(SharingPairStore::build(
+                       r_, options_.lia.variance.threads))
+                 : nullptr),
+      // Throws std::invalid_argument for VarianceMethod::kDenseQr.
+      equations_(store_ ? StreamingNormalEquations(r_, options_.lia.variance,
+                                                   store_)
+                        : StreamingNormalEquations(r_, options_.lia.variance)) {
+  if (store_) {
+    pair_accumulator_.emplace(store_, r_.rows(), accumulator_options(options_));
+  } else {
+    accumulator_.emplace(r_.rows(), accumulator_options(options_));
   }
   active_.assign(r_.rows(), 1);
   activated_tick_.assign(r_.rows(), 0);
@@ -167,16 +171,14 @@ void LiaMonitor::publish_telemetry() {
   t.links->set(static_cast<double>(r_.cols()));
   t.active_paths->set(static_cast<double>(active_path_count()));
   t.window_fill->set(static_cast<double>(window_fill()));
-  if (equations_) {
-    t.rank1_updates->set(equations_->rank1_updates());
-    t.refactorizations->set(equations_->refactorizations());
-    t.pin_updates->set(equations_->pin_updates());
-    t.pcg_iterations->set(equations_->refine_iterations());
-    t.downdate_fallbacks->set(equations_->downdate_fallbacks());
-    t.links_grown->set(equations_->links_grown());
-    t.links_pinned->set(static_cast<double>(equations_->links_pinned()));
-    t.pending_flips->set(static_cast<double>(equations_->pending_flips()));
-  }
+  t.rank1_updates->set(equations_.rank1_updates());
+  t.refactorizations->set(equations_.refactorizations());
+  t.pin_updates->set(equations_.pin_updates());
+  t.pcg_iterations->set(equations_.refine_iterations());
+  t.downdate_fallbacks->set(equations_.downdate_fallbacks());
+  t.links_grown->set(equations_.links_grown());
+  t.links_pinned->set(static_cast<double>(equations_.links_pinned()));
+  t.pending_flips->set(static_cast<double>(equations_.pending_flips()));
   if (store_) t.pairs->set(store_->pair_count());
   const VarianceEstimate* estimate = nullptr;
   if (churn_ && churn_variance_) {
@@ -192,7 +194,6 @@ void LiaMonitor::publish_telemetry() {
 }
 
 std::size_t LiaMonitor::window_fill() const {
-  if (engine_ != MonitorEngine::kStreaming) return window_.size();
   return streaming_source().count();
 }
 
@@ -202,25 +203,11 @@ const stats::CovarianceSource& LiaMonitor::streaming_source() const {
 }
 
 void LiaMonitor::push_snapshot(std::span<const double> y) {
-  if (engine_ == MonitorEngine::kStreaming) {
-    if (pair_accumulator_) {
-      pair_accumulator_->push(y);
-    } else {
-      accumulator_->push(y);
-    }
-    return;
+  if (pair_accumulator_) {
+    pair_accumulator_->push(y);
+  } else {
+    accumulator_->push(y);
   }
-  window_.emplace_back(y.begin(), y.end());
-  if (window_.size() > options_.window) window_.pop_front();
-}
-
-bool LiaMonitor::path_full(std::size_t i) const {
-  if (!active_[i]) return false;
-  const std::size_t fill = window_fill();
-  // Snapshots pushed so far = ticks_ - 1 inside a relearn (the current
-  // snapshot enters the window after diagnosis) — the exact mirror of the
-  // accumulators' samples() bookkeeping.
-  return fill > 0 && ticks_ - 1 - activated_tick_[i] >= fill;
 }
 
 const VarianceEstimate& LiaMonitor::variances() const {
@@ -236,11 +223,7 @@ std::size_t LiaMonitor::active_path_count() const {
 
 void LiaMonitor::set_path_active(std::size_t path, bool active) {
   if (path >= r_.rows()) throw std::invalid_argument("path out of range");
-  if (engine_ == MonitorEngine::kStreaming &&
-      options_.lia.variance.negatives != NegativeCovariancePolicy::kDrop) {
-    throw std::logic_error(
-        "streaming path churn requires the drop-negative policy");
-  }
+  require_drop_negative(options_);
   if ((active_[path] != 0) == active) return;
   churn_ = true;
   active_[path] = active ? 1 : 0;
@@ -249,20 +232,18 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
   // Phase 2 must never run against a stale active set: force a relearn at
   // the next diagnosing tick.
   since_learn_ = options_.relearn_every;
-  if (engine_ == MonitorEngine::kStreaming) {
-    equations_->set_path_live(path, active);
-    if (pair_accumulator_) {
-      if (active) {
-        pair_accumulator_->activate_path(path);
-      } else {
-        pair_accumulator_->retire_path(path);
-      }
+  equations_.set_path_live(path, active);
+  if (pair_accumulator_) {
+    if (active) {
+      pair_accumulator_->activate_path(path);
     } else {
-      if (active) {
-        accumulator_->activate_path(path);
-      } else {
-        accumulator_->retire_path(path);
-      }
+      pair_accumulator_->retire_path(path);
+    }
+  } else {
+    if (active) {
+      accumulator_->activate_path(path);
+    } else {
+      accumulator_->retire_path(path);
     }
   }
 }
@@ -275,11 +256,7 @@ std::size_t LiaMonitor::add_path(std::vector<std::uint32_t> links) {
 
 std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
                                   std::size_t new_links) {
-  if (engine_ == MonitorEngine::kStreaming &&
-      options_.lia.variance.negatives != NegativeCovariancePolicy::kDrop) {
-    throw std::logic_error(
-        "streaming path churn requires the drop-negative policy");
-  }
+  require_drop_negative(options_);
   if (rows.empty()) {
     throw std::invalid_argument("add_paths needs at least one row");
   }
@@ -291,16 +268,14 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   activated_tick_.resize(index + count, ticks_);
   active_dirty_ = true;
   since_learn_ = options_.relearn_every;
-  if (engine_ == MonitorEngine::kStreaming) {
-    // Order matters with a shared store: the equations grow the link basis
-    // and the store, then the accumulator aligns its pair values to it.
-    equations_->grow_links(new_links);
-    equations_->add_paths(r_, count);
-    if (pair_accumulator_) {
-      pair_accumulator_->add_paths(count);
-    } else {
-      accumulator_->add_paths(count);
-    }
+  // Order matters with a shared store: the equations grow the link basis
+  // and the store, then the accumulator aligns its pair values to it.
+  equations_.grow_links(new_links);
+  equations_.add_paths(r_, count);
+  if (pair_accumulator_) {
+    pair_accumulator_->add_paths(count);
+  } else {
+    accumulator_->add_paths(count);
   }
   if (obs_) obs_->registry->note("monitor.grow");
   return index;
@@ -320,49 +295,10 @@ void LiaMonitor::rebuild_active() {
   active_dirty_ = false;
 }
 
-void LiaMonitor::relearn_batch() {
-  stats::SnapshotMatrix history(r_.rows(), options_.window);
-  for (std::size_t l = 0; l < options_.window; ++l) {
-    const auto& y = window_[l];
-    std::copy(y.begin(), y.end(), history.sample(l).begin());
-  }
-  lia_.learn(history);
-}
-
 void LiaMonitor::relearn_churn() {
   rebuild_active();
-  if (engine_ == MonitorEngine::kStreaming) {
-    equations_->refresh(streaming_source());
-    churn_variance_ = equations_->solve();
-  } else {
-    // Batch reference: estimate from the active paths whose window entries
-    // are all real measurements — the exact set whose pairs the streaming
-    // engine reports ready.
-    std::vector<std::uint32_t> full_rows;
-    std::vector<std::vector<std::uint32_t>> rows;
-    for (std::size_t i = 0; i < r_.rows(); ++i) {
-      if (!active_[i] || !path_full(i)) continue;
-      full_rows.push_back(static_cast<std::uint32_t>(i));
-      const auto row = r_.row(i);
-      rows.emplace_back(row.begin(), row.end());
-    }
-    if (full_rows.size() < 2) {
-      // Not enough learned history to estimate anything yet.
-      churn_variance_.reset();
-      churn_elimination_.reset();
-      return;
-    }
-    linalg::SparseBinaryMatrix sub(r_.cols(), std::move(rows));
-    stats::SnapshotMatrix history(full_rows.size(), options_.window);
-    for (std::size_t l = 0; l < options_.window; ++l) {
-      const auto& y = window_[l];
-      for (std::size_t idx = 0; idx < full_rows.size(); ++idx) {
-        history.at(l, idx) = y[full_rows[idx]];
-      }
-    }
-    churn_variance_ =
-        estimate_link_variances(sub, history, options_.lia.variance);
-  }
+  equations_.refresh(streaming_source());
+  churn_variance_ = equations_.solve();
   churn_elimination_ = eliminate_low_variance_links(
       *active_r_, churn_variance_->v, options_.lia.elimination);
 }
@@ -417,7 +353,6 @@ std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
   ++ticks_;
   if (churn_) return observe_churn(y);
 
-  const bool streaming = engine_ == MonitorEngine::kStreaming;
   std::optional<LossInference> result;
   if (window_fill() == options_.window) {
     // Window full: (re)learn if due, then diagnose this snapshot using the
@@ -425,12 +360,8 @@ std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
     if (!lia_.trained() || ++since_learn_ >= options_.relearn_every) {
       obs::Span solve_span(obs_ ? obs_->registry : nullptr,
                            obs_ ? obs_->solve_phase : 0);
-      if (streaming) {
-        equations_->refresh(streaming_source());
-        lia_.adopt(equations_->solve());
-      } else {
-        relearn_batch();
-      }
+      equations_.refresh(streaming_source());
+      lia_.adopt(equations_.solve());
       since_learn_ = 0;
     }
     result = lia_.infer(y);
@@ -452,7 +383,6 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   // could silently disagree on.
   writer.usize(options_.window);
   writer.usize(options_.relearn_every);
-  writer.u8(static_cast<std::uint8_t>(engine_));
   writer.u8(static_cast<std::uint8_t>(options_.accumulator));
   writer.boolean(options_.lia.variance.negatives ==
                  NegativeCovariancePolicy::kDrop);
@@ -470,19 +400,13 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   if (lia_.trained()) save_estimate(writer, lia_.variances());
   writer.boolean(churn_variance_.has_value());
   if (churn_variance_) save_estimate(writer, *churn_variance_);
-  if (engine_ == MonitorEngine::kStreaming) {
-    const bool shared_store = store_ != nullptr;
-    if (shared_store) store_->save_state(writer);
-    if (pair_accumulator_) {
-      pair_accumulator_->save_state(writer);
-    } else {
-      accumulator_->save_state(writer);
-    }
-    equations_->save_state(writer, shared_store);
+  if (store_) {
+    store_->save_state(writer);
+    pair_accumulator_->save_state(writer);
   } else {
-    writer.usize(window_.size());
-    for (const auto& y : window_) writer.doubles(y);
+    accumulator_->save_state(writer);
   }
+  equations_.save_state(writer, store_ != nullptr);
   writer.end_section();
 }
 
@@ -490,12 +414,11 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   reader.expect_section(io::tags::kMonitor);
   const std::size_t window = reader.usize();
   const std::size_t relearn_every = reader.usize();
-  const auto engine = static_cast<MonitorEngine>(reader.u8());
   const auto accumulator = static_cast<CovarianceAccumulator>(reader.u8());
   const bool drop_negative = reader.boolean();
   const std::size_t refresh_every = reader.usize();
   if (window != options_.window || relearn_every != options_.relearn_every ||
-      engine != engine_ || accumulator != options_.accumulator ||
+      accumulator != options_.accumulator ||
       drop_negative != (options_.lia.variance.negatives ==
                         NegativeCovariancePolicy::kDrop) ||
       refresh_every != options_.refresh_every) {
@@ -565,43 +488,22 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   std::optional<stats::StreamingMoments> acc;
   std::optional<PairMoments> pair_acc;
   std::optional<StreamingNormalEquations> equations;
-  std::deque<linalg::Vector> batch_window;
-  if (engine_ == MonitorEngine::kStreaming) {
-    const stats::StreamingMomentsOptions accumulator_options{
-        .window = options_.window,
-        .refresh_every = options_.refresh_every,
-        .threads = options_.lia.variance.threads};
-    if (options_.accumulator == CovarianceAccumulator::kSharingPairs) {
-      store = std::make_shared<SharingPairStore>();
-      store->restore_state(reader);
-      if (store->path_count() != nrows) {
-        throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                  "pair store path count != routing rows");
-      }
-      pair_acc.emplace(store, nrows, accumulator_options);
-      pair_acc->restore_state(reader);
-      equations.emplace(*new_r, options_.lia.variance, store);
-      equations->restore_state(reader, store);
-    } else {
-      acc.emplace(nrows, accumulator_options);
-      acc->restore_state(reader);
-      equations.emplace(*new_r, options_.lia.variance);
-      equations->restore_state(reader, nullptr);
-    }
-  } else {
-    const std::size_t stored = reader.usize();
-    if (stored > options_.window) {
+  if (store_) {
+    store = std::make_shared<SharingPairStore>();
+    store->restore_state(reader);
+    if (store->path_count() != nrows) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                "batch window larger than configured");
+                                "pair store path count != routing rows");
     }
-    for (std::size_t l = 0; l < stored; ++l) {
-      batch_window.emplace_back(reader.doubles());
-      if (batch_window.back().size() != nrows) {
-        throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                  "batch window snapshot has wrong size");
-      }
-    }
+    pair_acc.emplace(store, nrows, accumulator_options(options_));
+    pair_acc->restore_state(reader);
+    equations.emplace(*new_r, options_.lia.variance, store);
+  } else {
+    acc.emplace(nrows, accumulator_options(options_));
+    acc->restore_state(reader);
+    equations.emplace(*new_r, options_.lia.variance);
   }
+  equations->restore_state(reader, store);
   reader.end_section();
 
   // Commit (non-throwing moves), then recompute the derived Phase-2 state.
@@ -614,11 +516,10 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   active_dirty_ = true;
   active_rows_.clear();
   active_r_.reset();
-  window_ = std::move(batch_window);
   store_ = std::move(store);
   accumulator_ = std::move(acc);
   pair_accumulator_ = std::move(pair_acc);
-  equations_ = std::move(equations);
+  equations_ = std::move(*equations);
   if (lia_estimate) lia_.adopt(std::move(*lia_estimate));
   if (churn_ && churn_estimate) {
     churn_variance_ = std::move(churn_estimate);

@@ -6,28 +6,30 @@
 // is the pattern used by examples/overlay_monitoring and the §7.2.2
 // duration study, packaged so library users get it directly.
 //
-// Two engines drive the per-tick relearn:
-//  * kStreaming (default) — an incremental accumulator keeps the window
-//    covariance current under rank-1 add/retire updates, and a
-//    StreamingNormalEquations instance refreshes h (and the sign-flipped
-//    parts of G) from it, re-using the cached Cholesky factor while G is
-//    unchanged.  Steady-state tick cost is independent of the window
-//    length; under the keep-all policy G never changes and the normal
-//    equations are factorized exactly once.  The accumulator itself is
-//    selectable: the dense stats::StreamingMoments (full S, O(np^2) per
-//    tick) or the pair-indexed core::PairMoments (sharing-pair entries
-//    only, O(np + pairs) per tick — the configuration that scales
-//    drop-negative monitoring to multi-thousand-path overlays).
-//  * kBatch — the reference path: rebuild the m x np snapshot matrix and
-//    run the full Phase-1 estimate from scratch every relearn.  Retained
-//    for parity tests, and required for VarianceMethod::kDenseQr (the
-//    monitor falls back to it automatically in that configuration).
-// Both engines fold every observed snapshot into the window regardless of
-// relearn_every, and produce identical inferences to <= 1e-10 (see
-// bench/monitor_streaming and tests/core/monitor_test) — except that under
-// drop-negative a pair covariance within the accumulator's drift of zero
-// can resolve its drop decision differently than the batch engine (the
-// policy is discontinuous at cov = 0; keep-all has no such boundary).
+// The per-tick relearn is incremental: an accumulator keeps the window
+// covariance current under rank-1 add/retire updates, and a
+// StreamingNormalEquations instance refreshes h (and the sign-flipped
+// parts of G) from it, re-using the cached Cholesky factor while G is
+// unchanged.  Steady-state tick cost is independent of the window length;
+// under the keep-all policy G never changes and the normal equations are
+// factorized exactly once.  The accumulator is selectable: the dense
+// stats::StreamingMoments (full S, O(np^2) per tick) or the pair-indexed
+// core::PairMoments (sharing-pair entries only, O(np + pairs) per tick —
+// the configuration that scales drop-negative monitoring to
+// multi-thousand-path overlays).  Every observed snapshot enters the
+// window regardless of relearn_every.
+//
+// The inferences match the paper's procedure — Lia::learn on the m
+// preceding snapshots, then Phase 2 on snapshot m+1 — to <= 1e-10; the
+// test oracle losstomo::testing::BatchRelearnOracle
+// (tests/batch_oracle.hpp) reruns that procedure from scratch every
+// relearn and pins the parity (bench/monitor_streaming records it too).
+// Under drop-negative a pair covariance within the accumulator's drift of
+// zero can resolve its drop decision differently than a from-scratch
+// relearn (the policy is discontinuous at cov = 0; keep-all has no such
+// boundary).  VarianceMethod::kDenseQr needs the materialised batch
+// system and is rejected at construction; it stays available through
+// Lia::learn / estimate_link_variances.
 //
 // Path churn (scenario engine, src/scenario/): the monitored overlay may
 // evolve mid-run — paths join, leave, change routes, and arrive in mass-
@@ -42,13 +44,12 @@
 // A (re)joining path warms up for one full window before its pair
 // equations enter Phase 1 (exactly the warm-up the initial window
 // imposes); Phase 2 runs on the active-row submatrix every relearn.
-// Streaming churn requires the drop-negative policy.  Callers must keep
+// Path churn requires the drop-negative policy.  Callers must keep
 // supplying a snapshot entry for every known row — 0.0 for inactive
 // paths (a deterministic filler; never read by the estimator).
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -73,11 +74,6 @@ class Registry;
 
 namespace losstomo::core {
 
-enum class MonitorEngine {
-  kStreaming,  // incremental sliding-window covariance (default)
-  kBatch,      // full relearn from the materialised window (reference)
-};
-
 enum class CovarianceAccumulator {
   kDense,         // stats::StreamingMoments: full S, O(np^2) per tick
   kSharingPairs,  // core::PairMoments: sharing-pair entries, O(np + pairs)
@@ -93,14 +89,12 @@ struct MonitorOptions {
   /// A churn event forces a relearn at the next diagnosing tick so Phase 2
   /// always runs against the current active set.
   std::size_t relearn_every = 1;
-  MonitorEngine engine = MonitorEngine::kStreaming;
-  /// Streaming engine only: which incremental covariance accumulator backs
-  /// the relearn.  kSharingPairs requires the streaming engine and a
-  /// configuration that resolves to the drop-negative policy (throws
-  /// std::invalid_argument otherwise).
+  /// Which incremental covariance accumulator backs the relearn.
+  /// kSharingPairs requires a configuration that resolves to the
+  /// drop-negative policy (throws std::invalid_argument otherwise).
   CovarianceAccumulator accumulator = CovarianceAccumulator::kDense;
-  /// Streaming engine only: full recompute cadence of the incremental
-  /// accumulator in ticks, bounding floating-point drift
+  /// Full recompute cadence of the incremental accumulator in ticks,
+  /// bounding floating-point drift
   /// (stats::StreamingMomentsOptions::refresh_every); 0 = 2 * window.
   std::size_t refresh_every = 0;
   /// Telemetry sink (obs/registry.hpp); nullptr (the default) leaves the
@@ -126,11 +120,12 @@ class LiaMonitor {
  public:
   /// Takes the routing matrix by value (owned), so constructing from a
   /// temporary is safe.  Throws std::invalid_argument for window < 2,
-  /// relearn_every == 0, or an inconsistent accumulator configuration.
-  /// Keep-all streaming configurations assemble G here (O(nc^2));
-  /// drop-negative with the dense accumulator defers its sharing-pair
-  /// store to the first relearn tick, while kSharingPairs builds it here
-  /// (the accumulator indexes it from the first snapshot on).
+  /// relearn_every == 0, VarianceMethod::kDenseQr, or an inconsistent
+  /// accumulator configuration.  Keep-all configurations assemble G here
+  /// (O(nc^2)); drop-negative with the dense accumulator defers its
+  /// sharing-pair store to the first relearn tick, while kSharingPairs
+  /// builds it here (the accumulator indexes it from the first snapshot
+  /// on).
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
   LiaMonitor& operator=(LiaMonitor&&);
@@ -140,12 +135,10 @@ class LiaMonitor {
   /// inference for this snapshot, or std::nullopt while the window is
   /// still filling (the first `window` snapshots are learning-only).
   /// `y.size()` must equal routing().rows() (throws
-  /// std::invalid_argument).  Steady-state cost per tick (streaming
-  /// engine): the accumulator update (O(np^2) dense, O(np + pairs)
-  /// pair-indexed) + the normal-equation refresh (proportional to the
-  /// sharing structure) + the cached-factor solve — independent of the
-  /// window length; the batch engine pays the full O(m np^2) relearn
-  /// instead.
+  /// std::invalid_argument).  Steady-state cost per tick: the accumulator
+  /// update (O(np^2) dense, O(np + pairs) pair-indexed) + the
+  /// normal-equation refresh (proportional to the sharing structure) + the
+  /// cached-factor solve — independent of the window length.
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -168,8 +161,8 @@ class LiaMonitor {
   /// Activates (join) or retires (leave) path `path`.  A retired path's
   /// equations leave Phase 1 immediately and the path leaves Phase 2's
   /// active submatrix; a (re)activated path warms up for one full window
-  /// before its pair equations re-enter.  Streaming engine: requires the
-  /// drop-negative policy (throws std::logic_error otherwise).
+  /// before its pair equations re-enter.  Requires the drop-negative
+  /// policy (throws std::logic_error otherwise).
   void set_path_active(std::size_t path, bool active);
 
   /// Appends a new path (row) over the existing link universe; `links`
@@ -188,13 +181,12 @@ class LiaMonitor {
   /// `rows[i]` lists path i's links as column indices
   /// < routing().cols() + new_links; indices >= routing().cols() denote
   /// FRESH virtual links, appended to the link universe in the same step
-  /// (streaming engine: bordered identity growth of the cached factor —
-  /// fresh links enter identity-pinned with no refactorization, and unpin
-  /// through the usual border steps once warmed pairs cover them).  All
-  /// appended paths start active with zero history.  Returns the first
-  /// appended row's index.  Throws std::invalid_argument on an empty
-  /// batch or malformed rows, std::logic_error for streaming engines not
-  /// resolving to drop-negative.
+  /// (bordered identity growth of the cached factor — fresh links enter
+  /// identity-pinned with no refactorization, and unpin through the usual
+  /// border steps once warmed pairs cover them).  All appended paths start
+  /// active with zero history.  Returns the first appended row's index.
+  /// Throws std::invalid_argument on an empty batch or malformed rows,
+  /// std::logic_error for configurations not resolving to drop-negative.
   std::size_t add_paths(std::vector<std::vector<std::uint32_t>> rows,
                         std::size_t new_links = 0);
 
@@ -209,18 +201,14 @@ class LiaMonitor {
   [[nodiscard]] bool warmed_up() const { return ticks_ >= options_.window; }
   /// Variances from the most recent learn (requires warmed_up()).
   [[nodiscard]] const VarianceEstimate& variances() const;
-  /// The engine actually driving relearns (kDenseQr configurations fall
-  /// back to kBatch).
-  [[nodiscard]] MonitorEngine engine() const { return engine_; }
-  /// The accumulator backing the streaming engine.
+  /// The accumulator backing the relearn.
   [[nodiscard]] CovarianceAccumulator accumulator() const {
     return options_.accumulator;
   }
-  /// The streaming engine's incrementally maintained Phase-1 system, for
-  /// factor-cache diagnostics (refactorizations, rank-1 up/downdates, pair
-  /// store size); nullptr when the batch engine is driving.
-  [[nodiscard]] const StreamingNormalEquations* streaming_equations() const {
-    return equations_ ? &*equations_ : nullptr;
+  /// The incrementally maintained Phase-1 system, for factor-cache
+  /// diagnostics (refactorizations, rank-1 up/downdates, pair store size).
+  [[nodiscard]] const StreamingNormalEquations& streaming_equations() const {
+    return equations_;
   }
   [[nodiscard]] const linalg::SparseBinaryMatrix& routing() const {
     return r_;
@@ -230,9 +218,9 @@ class LiaMonitor {
   //
   // save_state serializes the complete mutable monitor: the (possibly
   // grown) routing matrix, tick/relearn counters, churn flags and
-  // activation ledger, the batch window or the streaming stack (shared
-  // pair store, accumulator rings, incrementally maintained normal
-  // equations with their cached factor), and the adopted Phase-1
+  // activation ledger, the streaming stack (shared pair store,
+  // accumulator rings, incrementally maintained normal equations with
+  // their cached factor), and the adopted Phase-1
   // estimates.  Phase-2 eliminations are NOT serialized — they are pure
   // functions of (routing, variances) and are recomputed on restore, bit-
   // identically.
@@ -251,7 +239,6 @@ class LiaMonitor {
  private:
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
-  void relearn_batch();
   void relearn_churn();
   void rebuild_active();
   /// Mirrors the deterministic engine state into the attached registry
@@ -262,24 +249,17 @@ class LiaMonitor {
   std::optional<LossInference> observe_churn(std::span<const double> y);
   void push_snapshot(std::span<const double> y);
   [[nodiscard]] std::size_t window_fill() const;
-  /// The streaming engine's window statistics: the pair accumulator under
-  /// kSharingPairs, the dense one otherwise.
+  /// The window statistics: the pair accumulator under kSharingPairs, the
+  /// dense one otherwise.
   [[nodiscard]] const stats::CovarianceSource& streaming_source() const;
-  /// Batch-engine mirror of the accumulators' validity rule: path i's
-  /// window entries are all real measurements.
-  [[nodiscard]] bool path_full(std::size_t i) const;
 
   MonitorOptions options_;
-  MonitorEngine engine_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
   Lia lia_;                       // non-churn learn/infer state
-  // Batch engine state.
-  std::deque<linalg::Vector> window_;
-  // Streaming engine state.
   std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
   std::optional<stats::StreamingMoments> accumulator_;  // kDense
   std::optional<PairMoments> pair_accumulator_;         // kSharingPairs
-  std::optional<StreamingNormalEquations> equations_;
+  StreamingNormalEquations equations_;
   // Churn state (engaged at the first set_path_active/add_path call).
   bool churn_ = false;
   std::vector<std::uint8_t> active_;

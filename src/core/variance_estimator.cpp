@@ -573,6 +573,11 @@ StreamingNormalEquations::StreamingNormalEquations(
       np_(r.rows()),
       nc_(r.cols()),
       drop_negative_(resolve_negative_policy(options, r.rows())) {
+  if (options_.method == VarianceMethod::kDenseQr) {
+    throw std::invalid_argument(
+        "StreamingNormalEquations does not support kDenseQr; use the batch "
+        "path");
+  }
   sys_.g = linalg::Matrix(nc_, nc_);
   sys_.h.assign(nc_, 0.0);
   if (!drop_negative_) {
@@ -968,11 +973,6 @@ VarianceEstimate StreamingNormalEquations::solve() {
   }
   VarianceMethod method = options_.method;
   if (method == VarianceMethod::kAuto) method = VarianceMethod::kNormal;
-  if (method == VarianceMethod::kDenseQr) {
-    throw std::invalid_argument(
-        "StreamingNormalEquations does not support kDenseQr; use the batch "
-        "path");
-  }
   VarianceEstimate est;
   est.equations_used = sys_.used;
   est.equations_dropped = sys_.dropped;

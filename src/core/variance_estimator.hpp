@@ -207,7 +207,8 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 /// estimate_link_variances on an equal-valued source to refinement
 /// accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
 /// well-conditioned instances, and bit-identical on freshly refactorized
-/// ticks; methods kNormal and kNnls; kDenseQr callers must use the batch
+/// ticks; methods kNormal and kNnls — the constructors throw
+/// std::invalid_argument for kDenseQr, whose callers must use the batch
 /// path).
 ///
 /// Thread-safety: refresh() parallelizes internally (bit-identical at any

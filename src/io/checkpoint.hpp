@@ -114,7 +114,7 @@ class CheckpointWriter {
   /// finish() + write to `file`; throws CheckpointError(kIo) on failure.
   void save(const std::string& file);
 
-  static constexpr std::uint32_t kVersion = 4;
+  static constexpr std::uint32_t kVersion = 5;
 
  private:
   std::vector<std::uint8_t> payload_;

@@ -303,8 +303,8 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec,
   }
 
   // The monitor starts with the initial rows over the initially known link
-  // basis; churn requires drop-negative on the streaming engine, so an
-  // unresolved (kAuto) policy resolves to drop here.  The resolved options
+  // basis; churn requires drop-negative, so an unresolved (kAuto) policy
+  // resolves to drop here.  The resolved options
   // and simulator config are kept: checkpoint restore and handoff rebuild
   // the engines from them, exactly as constructed here.
   monitor_options.window = spec_.window;

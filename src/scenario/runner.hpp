@@ -32,8 +32,9 @@
 //
 // Determinism: a runner is a pure function of (spec, monitor options) —
 // two runners over the same spec see identical snapshots and events, which
-// is how the churn parity tests drive a streaming and a batch monitor
-// through one scenario and compare tick by tick.
+// is how the parity tests drive monitors with different options through
+// one scenario and compare tick by tick (and how a recorded feed replays
+// into a reference that follows the monitor's churn).
 #pragma once
 
 #include <cstddef>
@@ -78,8 +79,8 @@ class ScenarioRunner {
   /// the simulator, and the monitor.  `monitor_options.window` comes from
   /// the spec (every other monitor knob is the caller's); a kAuto
   /// negative-covariance policy resolves to drop-negative (churn requires
-  /// it on the streaming engine).  Throws std::invalid_argument on an
-  /// invalid spec — unknown paths/links, a reroute with no alternate
+  /// it).  Throws std::invalid_argument on an invalid spec — unknown
+  /// paths/links, a reroute with no alternate
   /// route (trees) or of an already-rerouted path, or a combined
   /// reserve-pool consumption (kGrow + kGrowLinks counts together) beyond
   /// reserve_paths; the pending-addition queue every reroute/grow pops is

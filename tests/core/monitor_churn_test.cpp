@@ -1,12 +1,14 @@
 // LiaMonitor path-churn semantics on small deterministic instances: warm-up
-// gating, streaming/batch agreement through joins, leaves and growth,
-// identity pinning of uncovered links, and configuration validation.
+// gating, agreement with the batch relearn oracle through joins, leaves
+// and growth, identity pinning of uncovered links, and configuration
+// validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
 #include <vector>
 
+#include "batch_oracle.hpp"
 #include "core/monitor.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
@@ -15,18 +17,16 @@
 namespace losstomo::core {
 namespace {
 
-MonitorOptions churn_options(MonitorEngine engine,
-                             std::size_t window = 8) {
+MonitorOptions churn_options(std::size_t window = 8) {
   MonitorOptions options;
   options.window = window;
-  options.engine = engine;
   options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
   // Tiny instances: absorb whole churn bursts as rank-1 factor steps
   // instead of the stale-factor path (nc/4 would be ~1 here), and degrade
   // through the deterministic rank-revealing pinning on any singular
   // window (a handful of equations over a handful of links goes
-  // rank-deficient easily) — jittered solves would amplify engine noise
-  // past any parity tolerance.
+  // rank-deficient easily) — jittered solves would amplify summation-order
+  // noise past any parity tolerance.
   options.lia.variance.factor_flip_threshold = 64;
   options.lia.variance.rank_revealing_min_attempts = 1;
   return options;
@@ -50,7 +50,7 @@ std::vector<double> synthetic_snapshot(const linalg::SparseBinaryMatrix& r,
 
 TEST(MonitorChurn, LeaveUncoversAndPinsPrivateLink) {
   const auto r = tiny_universe();
-  LiaMonitor monitor(r, churn_options(MonitorEngine::kStreaming));
+  LiaMonitor monitor(r, churn_options());
   stats::Rng rng(3);
   for (std::size_t l = 0; l < 10; ++l) {
     (void)monitor.observe(synthetic_snapshot(r, rng));
@@ -69,9 +69,7 @@ TEST(MonitorChurn, LeaveUncoversAndPinsPrivateLink) {
   // and Phase 2 never blames it.
   EXPECT_EQ(monitor.variances().links_pinned, 1u);
   EXPECT_DOUBLE_EQ(monitor.variances().v[3], 0.0);
-  const auto* eqs = monitor.streaming_equations();
-  ASSERT_NE(eqs, nullptr);
-  EXPECT_EQ(eqs->links_pinned(), 1u);
+  EXPECT_EQ(monitor.streaming_equations().links_pinned(), 1u);
   // The inference covers the whole universe link space.
   EXPECT_EQ(inference->loss.size(), 4u);
 }
@@ -79,12 +77,10 @@ TEST(MonitorChurn, LeaveUncoversAndPinsPrivateLink) {
 TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
   const auto r = tiny_universe();
   for (const std::size_t threads : {1u, 2u}) {
-    auto streaming_options = churn_options(MonitorEngine::kStreaming);
-    streaming_options.lia.variance.threads = threads;
-    auto batch_options = churn_options(MonitorEngine::kBatch);
-    batch_options.lia.variance.threads = threads;
-    LiaMonitor streaming(r, streaming_options);
-    LiaMonitor batch(r, batch_options);
+    auto options = churn_options();
+    options.lia.variance.threads = threads;
+    LiaMonitor streaming(r, options);
+    losstomo::testing::BatchRelearnOracle batch(r, options);
 
     stats::Rng rng(11);
     std::vector<std::vector<double>> feed;
@@ -99,17 +95,11 @@ TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
 
     std::size_t compared = 0;
     for (std::size_t l = 0; l < feed.size(); ++l) {
-      if (l == 10) {
-        streaming.set_path_active(1, false);
-        batch.set_path_active(1, false);
-      }
-      if (l == 13) {
-        streaming.set_path_active(1, true);
-        batch.set_path_active(1, true);
-      }
+      // The oracle replays this churn from the monitor's state.
+      if (l == 10) streaming.set_path_active(1, false);
+      if (l == 13) streaming.set_path_active(1, true);
       if (l == 14) {
         EXPECT_EQ(streaming.add_path(new_row), 3u);
-        EXPECT_EQ(batch.add_path(new_row), 3u);
       }
       std::vector<double> y = feed[l];
       if (l >= 14) {
@@ -120,7 +110,7 @@ TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
       }
       if (!streaming.path_active(1)) y[1] = 0.0;
       const auto from_streaming = streaming.observe(y);
-      const auto from_batch = batch.observe(y);
+      const auto from_batch = batch.observe(streaming, y);
       ASSERT_EQ(from_streaming.has_value(), from_batch.has_value()) << l;
       if (!from_streaming) continue;
       ++compared;
@@ -132,36 +122,30 @@ TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
           << "tick " << l;
     }
     EXPECT_GT(compared, 20u);
-    const auto* eqs = streaming.streaming_equations();
-    ASSERT_NE(eqs, nullptr);
-    EXPECT_GT(eqs->rank1_updates(), 0u) << "threads=" << threads;
+    EXPECT_GT(streaming.streaming_equations().rank1_updates(), 0u)
+        << "threads=" << threads;
   }
 }
 
 TEST(MonitorChurn, ValidatesConfiguration) {
   const auto r = tiny_universe();
-  // Pair accumulator needs streaming + drop-negative.
+  // Pair accumulator needs drop-negative.
   {
-    MonitorOptions options = churn_options(MonitorEngine::kBatch);
-    options.accumulator = CovarianceAccumulator::kSharingPairs;
-    EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
-  }
-  {
-    MonitorOptions options = churn_options(MonitorEngine::kStreaming);
+    MonitorOptions options = churn_options();
     options.accumulator = CovarianceAccumulator::kSharingPairs;
     options.lia.variance.negatives = NegativeCovariancePolicy::kKeep;
     EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
   }
-  // Streaming churn requires drop-negative.
+  // Path churn requires drop-negative.
   {
-    MonitorOptions options = churn_options(MonitorEngine::kStreaming);
+    MonitorOptions options = churn_options();
     options.lia.variance.negatives = NegativeCovariancePolicy::kKeep;
     LiaMonitor monitor(r, options);
     EXPECT_THROW(monitor.set_path_active(0, false), std::logic_error);
   }
   // Out-of-range paths and links are rejected.
   {
-    LiaMonitor monitor(r, churn_options(MonitorEngine::kStreaming));
+    LiaMonitor monitor(r, churn_options());
     EXPECT_THROW(monitor.set_path_active(7, false), std::invalid_argument);
     EXPECT_THROW(monitor.add_path({9}), std::invalid_argument);
   }
@@ -169,8 +153,8 @@ TEST(MonitorChurn, ValidatesConfiguration) {
 
 TEST(MonitorChurn, PairAccumulatorEngineMatchesDense) {
   const auto r = tiny_universe();
-  LiaMonitor dense(r, churn_options(MonitorEngine::kStreaming));
-  auto pair_options = churn_options(MonitorEngine::kStreaming);
+  LiaMonitor dense(r, churn_options());
+  auto pair_options = churn_options();
   pair_options.accumulator = CovarianceAccumulator::kSharingPairs;
   LiaMonitor pairs(r, pair_options);
   EXPECT_EQ(pairs.accumulator(), CovarianceAccumulator::kSharingPairs);
@@ -197,7 +181,7 @@ TEST(MonitorChurn, PairAccumulatorEngineMatchesDense) {
         << "tick " << l;
   }
   EXPECT_GT(compared, 15u);
-  ASSERT_NE(pairs.streaming_equations()->pair_store(), nullptr);
+  ASSERT_NE(pairs.streaming_equations().pair_store(), nullptr);
 }
 
 }  // namespace

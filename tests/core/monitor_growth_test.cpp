@@ -1,10 +1,10 @@
 // Mass-growth semantics of LiaMonitor::add_paths: a batched append must be
 // STATE-identical (bit-parity, not just tolerance-parity) to the
-// equivalent loop of single add_path calls on every engine, the link
+// equivalent loop of single add_path calls on every accumulator, the link
 // universe must grow mid-run through bordered factor growth without a
-// refactorization, and the batch-engine growth path (windows recorded at
-// the old width folded into a wider relearn) must stay in lockstep with
-// streaming — the regression pin for the pre-warm-up fold/relearn
+// refactorization, and the monitor must stay in lockstep with the batch
+// relearn oracle, whose windows recorded at the old width fold into a
+// wider relearn — the regression pin for the pre-warm-up fold/relearn
 // interaction.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "batch_oracle.hpp"
 #include "core/monitor.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/rng.hpp"
@@ -20,13 +21,11 @@
 namespace losstomo::core {
 namespace {
 
-MonitorOptions growth_options(MonitorEngine engine,
-                              CovarianceAccumulator accumulator =
+MonitorOptions growth_options(CovarianceAccumulator accumulator =
                                   CovarianceAccumulator::kDense,
                               std::size_t window = 8) {
   MonitorOptions options;
   options.window = window;
-  options.engine = engine;
   options.accumulator = accumulator;
   options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
   // Tiny instances: absorb churn bursts as rank-1 steps (the default
@@ -68,10 +67,13 @@ const std::vector<std::vector<std::uint32_t>>& grown_rows() {
 }
 
 // Drives one monitor through 36 ticks with the growth burst at tick
-// `grow_tick`, batched or row-by-row, and returns every inference.
-std::vector<std::optional<LossInference>> drive(LiaMonitor& monitor,
-                                                bool batched,
-                                                std::size_t grow_tick) {
+// `grow_tick`, batched or row-by-row, and returns every inference.  An
+// `oracle` (optional) follows the monitor through the same feed and
+// records its inferences in `oracle_out`.
+std::vector<std::optional<LossInference>> drive(
+    LiaMonitor& monitor, bool batched, std::size_t grow_tick,
+    losstomo::testing::BatchRelearnOracle* oracle = nullptr,
+    std::vector<std::optional<LossInference>>* oracle_out = nullptr) {
   const auto grown = grown_universe();
   stats::Rng rng(17);
   std::vector<std::optional<LossInference>> out;
@@ -89,9 +91,10 @@ std::vector<std::optional<LossInference>> drive(LiaMonitor& monitor,
     // One shared deterministic feed: draw over the grown universe link
     // space always, project to the rows the monitor currently knows.
     const auto y_full = synthetic_snapshot(grown, rng);
-    out.push_back(monitor.observe(
-        std::vector<double>(y_full.begin(),
-                            y_full.begin() + monitor.routing().rows())));
+    const std::vector<double> y(y_full.begin(),
+                                y_full.begin() + monitor.routing().rows());
+    out.push_back(monitor.observe(y));
+    if (oracle != nullptr) oracle_out->push_back(oracle->observe(monitor, y));
   }
   return out;
 }
@@ -115,15 +118,11 @@ void expect_identical(
 TEST(MonitorGrowth, BatchedAddPathsIsBitIdenticalToRowByRow) {
   struct Config {
     const char* label;
-    MonitorEngine engine;
     CovarianceAccumulator accumulator;
   };
   const Config configs[] = {
-      {"streaming/dense", MonitorEngine::kStreaming,
-       CovarianceAccumulator::kDense},
-      {"streaming/pairs", MonitorEngine::kStreaming,
-       CovarianceAccumulator::kSharingPairs},
-      {"batch", MonitorEngine::kBatch, CovarianceAccumulator::kDense},
+      {"streaming/dense", CovarianceAccumulator::kDense},
+      {"streaming/pairs", CovarianceAccumulator::kSharingPairs},
   };
   // Growth both after warm-up (tick 20) and before it (tick 3): the
   // pre-warm-up case folds window snapshots recorded at the old width
@@ -131,42 +130,36 @@ TEST(MonitorGrowth, BatchedAddPathsIsBitIdenticalToRowByRow) {
   for (const std::size_t grow_tick : {20u, 3u}) {
     for (const auto& config : configs) {
       LiaMonitor batched(growth_universe(),
-                         growth_options(config.engine, config.accumulator));
+                         growth_options(config.accumulator));
       LiaMonitor row_by_row(growth_universe(),
-                            growth_options(config.engine,
-                                           config.accumulator));
+                            growth_options(config.accumulator));
       const auto a = drive(batched, true, grow_tick);
       const auto b = drive(row_by_row, false, grow_tick);
       expect_identical(a, b, std::string(config.label) + "/grow@" +
                                  std::to_string(grow_tick));
-      if (config.engine == MonitorEngine::kStreaming) {
-        const auto* ea = batched.streaming_equations();
-        const auto* eb = row_by_row.streaming_equations();
-        ASSERT_NE(ea, nullptr);
-        ASSERT_NE(eb, nullptr);
-        EXPECT_EQ(ea->links_grown(), 2u);
-        EXPECT_EQ(eb->links_grown(), 2u);
-        EXPECT_EQ(ea->refactorizations(), eb->refactorizations());
-        EXPECT_EQ(ea->rank1_updates(), eb->rank1_updates());
-      }
+      const auto& ea = batched.streaming_equations();
+      const auto& eb = row_by_row.streaming_equations();
+      EXPECT_EQ(ea.links_grown(), 2u);
+      EXPECT_EQ(eb.links_grown(), 2u);
+      EXPECT_EQ(ea.refactorizations(), eb.refactorizations());
+      EXPECT_EQ(ea.rank1_updates(), eb.rank1_updates());
     }
   }
 }
 
-// The batch engine is the reference for the streaming growth machinery:
-// bordered nc growth + warm-up gating must match a from-scratch relearn
-// over the live-and-warm submatrix at every tick.  This is also the
-// regression pin for the batch engine's own growth path — relearns read
-// window snapshots recorded at the PRE-growth width (shorter vectors)
-// while the routing matrix is already wider.
+// The batch relearn oracle is the reference for the streaming growth
+// machinery: bordered nc growth + warm-up gating must match a
+// from-scratch relearn over the live-and-warm submatrix at every tick.
+// This is also the regression pin for the oracle's own growth path —
+// relearns read window snapshots recorded at the PRE-growth width
+// (shorter vectors) while the routing matrix is already wider.
 TEST(MonitorGrowth, StreamingMatchesBatchThroughLinkGrowth) {
   for (const std::size_t grow_tick : {20u, 3u}) {
-    LiaMonitor streaming(growth_universe(),
-                         growth_options(MonitorEngine::kStreaming));
-    LiaMonitor batch(growth_universe(),
-                     growth_options(MonitorEngine::kBatch));
-    const auto a = drive(streaming, true, grow_tick);
-    const auto b = drive(batch, true, grow_tick);
+    LiaMonitor streaming(growth_universe(), growth_options());
+    losstomo::testing::BatchRelearnOracle batch(growth_universe(),
+                                                growth_options());
+    std::vector<std::optional<LossInference>> b;
+    const auto a = drive(streaming, true, grow_tick, &batch, &b);
     ASSERT_EQ(a.size(), b.size());
     std::size_t compared = 0;
     for (std::size_t l = 0; l < a.size(); ++l) {
@@ -179,18 +172,16 @@ TEST(MonitorGrowth, StreamingMatchesBatchThroughLinkGrowth) {
     EXPECT_GT(compared, 10u);
     // The final estimate spans the grown 7-link universe.
     EXPECT_EQ(streaming.variances().v.size(), 7u);
-    const auto* eqs = streaming.streaming_equations();
-    ASSERT_NE(eqs, nullptr);
+    const auto& eqs = streaming.streaming_equations();
     // Bordered growth, not a relearn: one factorization for the whole run.
-    EXPECT_EQ(eqs->refactorizations(), 1u) << "grow@" << grow_tick;
-    EXPECT_EQ(eqs->links_grown(), 2u);
-    EXPECT_EQ(eqs->downdate_fallbacks(), 0u);
+    EXPECT_EQ(eqs.refactorizations(), 1u) << "grow@" << grow_tick;
+    EXPECT_EQ(eqs.links_grown(), 2u);
+    EXPECT_EQ(eqs.downdate_fallbacks(), 0u);
   }
 }
 
 TEST(MonitorGrowth, ErrorPaths) {
-  LiaMonitor monitor(growth_universe(),
-                     growth_options(MonitorEngine::kStreaming));
+  LiaMonitor monitor(growth_universe(), growth_options());
   // Empty batch.
   EXPECT_THROW(monitor.add_paths({}), std::invalid_argument);
   // Row referencing a column beyond cols() + new_links.
@@ -199,8 +190,8 @@ TEST(MonitorGrowth, ErrorPaths) {
   // Failed appends leave the monitor unchanged (no half-grown state).
   EXPECT_EQ(monitor.routing().rows(), 4u);
   EXPECT_EQ(monitor.routing().cols(), 5u);
-  // Streaming growth requires the drop-negative policy.
-  MonitorOptions keep = growth_options(MonitorEngine::kStreaming);
+  // Growth requires the drop-negative policy.
+  MonitorOptions keep = growth_options();
   keep.lia.variance.negatives = NegativeCovariancePolicy::kKeep;
   LiaMonitor keep_all(growth_universe(), keep);
   EXPECT_THROW(keep_all.add_paths({{0, 1}}), std::logic_error);

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "batch_oracle.hpp"
 #include "core/metrics.hpp"
 #include "sim/probe_sim.hpp"
 #include "test_util.hpp"
@@ -123,10 +124,10 @@ TEST(LiaMonitor, RelearnEveryAmortizes) {
   EXPECT_EQ(diagnoses, 10u);
 }
 
-// The streaming engine (incremental covariance + cached-factor normal
-// equations) must reproduce the batch relearn path on every diagnosed
-// tick, under both negative-covariance policies, through several window
-// wrap-arounds.
+// The streaming monitor (incremental covariance + cached-factor normal
+// equations) must reproduce the from-scratch batch relearn on every
+// diagnosed tick, under both negative-covariance policies, through several
+// window wrap-arounds.
 TEST(LiaMonitor, StreamingEngineMatchesBatchEngine) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
@@ -140,16 +141,13 @@ TEST(LiaMonitor, StreamingEngineMatchesBatchEngine) {
 
   for (const auto policy : {NegativeCovariancePolicy::kDrop,
                             NegativeCovariancePolicy::kKeep}) {
-    MonitorOptions batch_options{.window = m, .engine = MonitorEngine::kBatch};
-    batch_options.lia.variance.negatives = policy;
-    MonitorOptions streaming_options = batch_options;
-    streaming_options.engine = MonitorEngine::kStreaming;
+    MonitorOptions options{.window = m};
+    options.lia.variance.negatives = policy;
     // Cross a drift-refresh boundary mid-run.
-    streaming_options.refresh_every = m + 3;
+    options.refresh_every = m + 3;
 
-    LiaMonitor batch(rrm.matrix(), batch_options);
-    LiaMonitor streaming(rrm.matrix(), streaming_options);
-    ASSERT_EQ(streaming.engine(), MonitorEngine::kStreaming);
+    losstomo::testing::BatchRelearnOracle batch(rrm.matrix(), options);
+    LiaMonitor streaming(rrm.matrix(), options);
     std::size_t compared = 0;
     for (std::size_t l = 0; l < ticks; ++l) {
       const auto from_batch = batch.observe(y.sample(l));
@@ -185,14 +183,15 @@ TEST(LiaMonitor, DelayedRelearnSeesAllIntermediateSnapshots) {
   const auto y =
       losstomo::testing::synthetic_observations(rrm.matrix(), mu, v, ticks, rng);
 
-  for (const auto engine : {MonitorEngine::kStreaming, MonitorEngine::kBatch}) {
-    LiaMonitor monitor(rrm.matrix(),
-                       {.window = m, .relearn_every = relearn_every,
-                        .engine = engine});
+  const MonitorOptions options{.window = m, .relearn_every = relearn_every};
+  for (const bool use_oracle : {false, true}) {
+    LiaMonitor monitor(rrm.matrix(), options);
+    losstomo::testing::BatchRelearnOracle oracle(rrm.matrix(), options);
     std::size_t since_learn = 0;
     bool trained = false;
     for (std::size_t l = 0; l < ticks; ++l) {
-      const auto inference = monitor.observe(y.sample(l));
+      const auto inference = use_oracle ? oracle.observe(y.sample(l))
+                                        : monitor.observe(y.sample(l));
       if (l < m) continue;
       ASSERT_TRUE(inference.has_value());
       const bool relearn_tick =
@@ -209,12 +208,11 @@ TEST(LiaMonitor, DelayedRelearnSeesAllIntermediateSnapshots) {
       }
       Lia expected(rrm.matrix());
       expected.learn(history);
-      EXPECT_LE(linalg::max_abs_diff(monitor.variances().v,
-                                     expected.variances().v),
+      const VarianceEstimate& variances =
+          use_oracle ? oracle.variances() : monitor.variances();
+      EXPECT_LE(linalg::max_abs_diff(variances.v, expected.variances().v),
                 1e-10)
-          << "engine=" << (engine == MonitorEngine::kStreaming ? "streaming"
-                                                               : "batch")
-          << " relearn tick " << l;
+          << (use_oracle ? "oracle" : "monitor") << " relearn tick " << l;
       EXPECT_LE(linalg::max_abs_diff(inference->loss,
                                      expected.infer(y.sample(l)).loss),
                 1e-10);
@@ -247,16 +245,17 @@ TEST(LiaMonitor, OwnsRoutingMatrixAcrossReconstruction) {
   EXPECT_EQ(last->loss.size(), nc);
 }
 
-TEST(LiaMonitor, DenseQrConfigurationFallsBackToBatchEngine) {
+// The paper-exact dense QR needs the materialised batch system, which the
+// streaming monitor never builds: the configuration is rejected up front
+// (Lia::learn still offers it).
+TEST(LiaMonitor, DenseQrConfigurationIsRejected) {
   const linalg::SparseBinaryMatrix r(2, {{0}, {1}});
-  MonitorOptions options{.window = 3, .engine = MonitorEngine::kStreaming};
+  MonitorOptions options{.window = 3};
   options.lia.variance.method = VarianceMethod::kDenseQr;
-  LiaMonitor monitor(r, options);
-  EXPECT_EQ(monitor.engine(), MonitorEngine::kBatch);
-  const linalg::Vector y{-0.01, -0.02};
-  for (int t = 0; t < 3; ++t) EXPECT_FALSE(monitor.observe(y).has_value());
-  EXPECT_TRUE(monitor.observe(y).has_value());
-  EXPECT_EQ(monitor.variances().method.substr(0, 8), "dense-qr");
+  EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
+  options.accumulator = CovarianceAccumulator::kSharingPairs;
+  options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
+  EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
 }
 
 TEST(LiaMonitor, EndToEndOnSimulator) {

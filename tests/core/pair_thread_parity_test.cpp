@@ -155,12 +155,9 @@ ScenarioRun drive_scenario(const scenario::ScenarioSpec& spec,
           << label << " tick " << runner.ticks_run();
     }
   }
-  const auto* eqs = runner.monitor().streaming_equations();
-  EXPECT_NE(eqs, nullptr) << label;
-  if (eqs) {
-    run.refactorizations = eqs->refactorizations();
-    run.downdate_fallbacks = eqs->downdate_fallbacks();
-  }
+  const auto& eqs = runner.monitor().streaming_equations();
+  run.refactorizations = eqs.refactorizations();
+  run.downdate_fallbacks = eqs.downdate_fallbacks();
   return run;
 }
 
@@ -345,8 +342,7 @@ TEST_P(PairDegradedParity, ThreadCountTracksThroughDegradation) {
   const auto instance = make_instance(GetParam());
   LiaMonitor reference_monitor(instance.r, direct_options(/*threads=*/1));
   const auto reference = drive(reference_monitor, instance);
-  const auto* reference_eqs = reference_monitor.streaming_equations();
-  ASSERT_NE(reference_eqs, nullptr);
+  const auto& reference_eqs = reference_monitor.streaming_equations();
 
   LiaMonitor monitor(instance.r, direct_options(/*threads=*/8));
   const auto out = drive(monitor, instance);
@@ -355,11 +351,10 @@ TEST_P(PairDegradedParity, ThreadCountTracksThroughDegradation) {
   expect_bit_identical(reference, out, label, /*min_compared=*/10);
   // The degradation path itself must be replayed step for step: same
   // refactorization count, same downdate fallbacks.
-  const auto* eqs = monitor.streaming_equations();
-  ASSERT_NE(eqs, nullptr) << label;
-  EXPECT_EQ(eqs->refactorizations(), reference_eqs->refactorizations())
+  const auto& eqs = monitor.streaming_equations();
+  EXPECT_EQ(eqs.refactorizations(), reference_eqs.refactorizations())
       << label;
-  EXPECT_EQ(eqs->downdate_fallbacks(), reference_eqs->downdate_fallbacks())
+  EXPECT_EQ(eqs.downdate_fallbacks(), reference_eqs.downdate_fallbacks())
       << label;
 }
 

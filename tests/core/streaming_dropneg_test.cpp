@@ -9,6 +9,7 @@
 #include <cmath>
 #include <vector>
 
+#include "batch_oracle.hpp"
 #include "core/monitor.hpp"
 #include "core/variance_estimator.hpp"
 #include "stats/covariance_source.hpp"
@@ -237,8 +238,9 @@ TEST(StreamingDropNegative, FactorUpdateCapForcesRefactorization) {
 
 // Sign-flip-heavy monitor parity: observations with near-zero means make
 // pair covariances hover around zero, so nearly every tick flips some drop
-// decision.  The streaming engine must stay within 1e-10 of the batch
-// engine across >= 3 full window wrap-arounds at 1, 2, and 8 threads,
+// decision.  The streaming monitor must stay within 1e-10 of the batch
+// relearn oracle across >= 3 full window wrap-arounds at 1, 2, and 8
+// threads,
 // while actually exercising the rank-1 factor path (flips happen, yet
 // refactorizations stay rare).
 TEST(StreamingDropNegative, SignFlipHeavyWindowsMatchBatchAtAnyThreadCount) {
@@ -269,14 +271,12 @@ TEST(StreamingDropNegative, SignFlipHeavyWindowsMatchBatchAtAnyThreadCount) {
                                                            v_true, ticks, rng);
 
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    MonitorOptions batch_options{.window = m, .engine = MonitorEngine::kBatch};
-    batch_options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
-    batch_options.lia.variance.threads = threads;
-    MonitorOptions streaming_options = batch_options;
-    streaming_options.engine = MonitorEngine::kStreaming;
+    MonitorOptions options{.window = m};
+    options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
+    options.lia.variance.threads = threads;
 
-    LiaMonitor batch(rrm.matrix(), batch_options);
-    LiaMonitor streaming(rrm.matrix(), streaming_options);
+    losstomo::testing::BatchRelearnOracle batch(rrm.matrix(), options);
+    LiaMonitor streaming(rrm.matrix(), options);
     std::size_t compared = 0;
     for (std::size_t l = 0; l < ticks; ++l) {
       const auto from_batch = batch.observe(y.sample(l));
@@ -294,16 +294,15 @@ TEST(StreamingDropNegative, SignFlipHeavyWindowsMatchBatchAtAnyThreadCount) {
     }
     EXPECT_EQ(compared, ticks - m);
 
-    const auto* eqs = streaming.streaming_equations();
-    ASSERT_NE(eqs, nullptr);
-    ASSERT_TRUE(eqs->drop_negative());
+    const auto& eqs = streaming.streaming_equations();
+    ASSERT_TRUE(eqs.drop_negative());
     // The scenario is flip-heavy: rank-1 steps must have run, and the
     // factor cache must have absorbed most of them (far fewer full
     // refactorizations than relearn ticks).
-    EXPECT_GT(eqs->rank1_updates(), 0u) << "threads=" << threads;
-    EXPECT_LT(eqs->refactorizations(), compared / 2) << "threads=" << threads;
-    ASSERT_NE(eqs->pair_store(), nullptr);
-    EXPECT_GT(eqs->pair_store()->pair_count(), 0u);
+    EXPECT_GT(eqs.rank1_updates(), 0u) << "threads=" << threads;
+    EXPECT_LT(eqs.refactorizations(), compared / 2) << "threads=" << threads;
+    ASSERT_NE(eqs.pair_store(), nullptr);
+    EXPECT_GT(eqs.pair_store()->pair_count(), 0u);
   }
 }
 

@@ -267,9 +267,8 @@ TEST(StreamingNormalEquationsTest, RejectsDenseQrAndSolveBeforeRefresh) {
   EXPECT_THROW(unrefreshed.solve(), std::logic_error);
   VarianceOptions dense;
   dense.method = VarianceMethod::kDenseQr;
-  StreamingNormalEquations streaming(r, dense);
-  streaming.refresh(stats::BatchCovarianceSource(p.y));
-  EXPECT_THROW(streaming.solve(), std::invalid_argument);
+  // Rejected at construction, before any O(nc^2) assembly.
+  EXPECT_THROW(StreamingNormalEquations(r, dense), std::invalid_argument);
 }
 
 }  // namespace

@@ -63,12 +63,15 @@ TEST(LiaCliArgs, UnknownModeExits2WithUsage) {
 TEST(LiaCliArgs, UnknownKeyExits2WithUsage) {
   // `tick=` is a typo for `ticks=`: it must fail loudly, not run the
   // scenario with the default tick count.  `shards=` named a partitioned
-  // accumulator that no longer exists; both modes that once took it must
-  // reject it the same way, not ignore it.
+  // accumulator and `engine=` a batch relearn engine that no longer
+  // exist; both modes that once took them must reject them the same way,
+  // not ignore them.
   const std::string scenario = "mode=scenario scenario=" + scenario_fixture();
+  const std::string monitor = "mode=monitor topology=t paths=p snapshots=s";
   for (const std::string& argv_tail :
        {scenario + " tick=40", scenario + " shards=2",
-        std::string("mode=monitor topology=t paths=p snapshots=s shards=2")}) {
+        monitor + " shards=2", scenario + " engine=batch",
+        monitor + " engine=batch"}) {
     const auto result = run_cli(argv_tail);
     EXPECT_EQ(result.exit_code, 2) << argv_tail << '\n' << result.output;
     EXPECT_NE(result.output.find("unknown argument"), std::string::npos)

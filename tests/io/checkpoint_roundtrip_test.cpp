@@ -256,21 +256,18 @@ TEST(CheckpointRoundTrip, SnapshotSimulatorContinuesBitIdentically) {
   }
 }
 
-core::MonitorOptions monitor_options(core::CovarianceAccumulator acc,
-                                     core::MonitorEngine engine) {
+core::MonitorOptions monitor_options(core::CovarianceAccumulator acc) {
   core::MonitorOptions options;
   options.window = 10;
-  options.engine = engine;
   options.accumulator = acc;
   options.lia.variance.negatives = core::NegativeCovariancePolicy::kDrop;
   return options;
 }
 
-void monitor_roundtrip_case(core::CovarianceAccumulator acc,
-                            core::MonitorEngine engine) {
+void monitor_roundtrip_case(core::CovarianceAccumulator acc) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
-  const auto options = monitor_options(acc, engine);
+  const auto options = monitor_options(acc);
   const auto stream = make_stream(4 * options.window, 314);
 
   core::LiaMonitor original(rrm.matrix(), options);
@@ -292,35 +289,24 @@ void monitor_roundtrip_case(core::CovarianceAccumulator acc,
       EXPECT_EQ(a->loss[k], b->loss[k]) << "link " << k << " tick " << l;
     }
   }
-  const auto* ea = original.streaming_equations();
-  const auto* eb = restored.streaming_equations();
-  ASSERT_EQ(ea == nullptr, eb == nullptr);
-  if (ea) {
-    EXPECT_EQ(ea->refactorizations(), eb->refactorizations());
-    EXPECT_EQ(ea->rank1_updates(), eb->rank1_updates());
-  }
+  const auto& ea = original.streaming_equations();
+  const auto& eb = restored.streaming_equations();
+  EXPECT_EQ(ea.refactorizations(), eb.refactorizations());
+  EXPECT_EQ(ea.rank1_updates(), eb.rank1_updates());
 }
 
 TEST(CheckpointRoundTrip, MonitorStreamingDenseContinuesBitIdentically) {
-  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
-                         core::MonitorEngine::kStreaming);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kDense);
 }
 
 TEST(CheckpointRoundTrip, MonitorSharingPairsContinuesBitIdentically) {
-  monitor_roundtrip_case(core::CovarianceAccumulator::kSharingPairs,
-                         core::MonitorEngine::kStreaming);
-}
-
-TEST(CheckpointRoundTrip, MonitorBatchEngineContinuesBitIdentically) {
-  monitor_roundtrip_case(core::CovarianceAccumulator::kDense,
-                         core::MonitorEngine::kBatch);
+  monitor_roundtrip_case(core::CovarianceAccumulator::kSharingPairs);
 }
 
 TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
   const auto net = losstomo::testing::make_two_beacon_network();
   const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
-  const auto options = monitor_options(core::CovarianceAccumulator::kDense,
-                                       core::MonitorEngine::kStreaming);
+  const auto options = monitor_options(core::CovarianceAccumulator::kDense);
   const auto stream = make_stream(2 * options.window, 555);
   core::LiaMonitor original(rrm.matrix(), options);
   for (const auto& y : stream) (void)original.observe(y);
@@ -331,8 +317,7 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
   auto other_window = options;
   other_window.window = options.window + 1;
   const auto other_accumulator =
-      monitor_options(core::CovarianceAccumulator::kSharingPairs,
-                      core::MonitorEngine::kStreaming);
+      monitor_options(core::CovarianceAccumulator::kSharingPairs);
   for (const auto& other : {other_window, other_accumulator}) {
     core::LiaMonitor target(rrm.matrix(), other);
     try {

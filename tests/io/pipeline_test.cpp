@@ -353,13 +353,11 @@ TEST(Pipeline, BinaryIngestionInferencesBitIdenticalToTextPath) {
     }
     // Same per-tick work on both paths: the factor cache behaved
     // identically (keep-all never refactorizes after the first learn).
-    const auto* text_eqs = text_monitor.streaming_equations();
-    const auto* binary_eqs = binary_monitor.streaming_equations();
-    ASSERT_NE(text_eqs, nullptr) << label;
-    ASSERT_NE(binary_eqs, nullptr) << label;
-    EXPECT_EQ(binary_eqs->refactorizations(), text_eqs->refactorizations())
+    const auto& text_eqs = text_monitor.streaming_equations();
+    const auto& binary_eqs = binary_monitor.streaming_equations();
+    EXPECT_EQ(binary_eqs.refactorizations(), text_eqs.refactorizations())
         << label;
-    EXPECT_EQ(binary_eqs->rank1_updates(), text_eqs->rank1_updates())
+    EXPECT_EQ(binary_eqs.rank1_updates(), text_eqs.rank1_updates())
         << label;
   }
 }

@@ -1,8 +1,9 @@
 // The churn parity acceptance test: a scenario with at least one event of
 // every type — path join, path leave, route change, link down (and up),
 // congestion-regime shift, growth — driven through ScenarioRunner, where
-// the streaming engine must stay within 1e-10 of a batch re-learn at every
-// post-event tick, at 1, 2, and 8 threads, WITHOUT ever relearning from
+// the streaming monitor must stay within 1e-10 of the batch relearn oracle
+// (tests/batch_oracle.hpp) at every post-event tick, at 1, 2, and 8
+// threads, WITHOUT ever relearning from
 // scratch: the factor counters must show exactly one factorization with
 // the churn absorbed by rank-1/bordered updates (or, at the default flip
 // threshold, by the stale-factor PCG machinery).
@@ -12,18 +13,20 @@
 // this timeline (no jitter on any tick — asserted), and min_good_loss
 // keeps every path strictly lossy so no pair covariance sits exactly on
 // the drop-policy's zero boundary (a constant, lossless path has *exactly
-// zero* sample covariance, where the two engines may legitimately round to
-// different sides — see core/monitor.hpp).
+// zero* sample covariance, where the monitor and the oracle may
+// legitimately round to different sides — see core/monitor.hpp).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <optional>
 #include <vector>
 
+#include "batch_oracle.hpp"
 #include "core/monitor.hpp"
 #include "linalg/matrix.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "test_util.hpp"
 
 namespace losstomo::scenario {
 namespace {
@@ -54,30 +57,14 @@ ScenarioSpec parity_spec() {
   return spec;
 }
 
-struct Reference {
-  std::vector<std::optional<core::LossInference>> inferences;
-  std::vector<linalg::Vector> variances;
-};
+using Reference = losstomo::testing::OracleRun;
 
-// The batch engine relearns from scratch every tick over the live-and-warm
+// The oracle relearns from scratch every tick over the live-and-warm
 // submatrix — the ground truth churned streaming must reproduce.  Batch
 // results are bit-identical at any thread count, so one run suffices.
-Reference batch_reference(const ScenarioSpec& spec) {
-  core::MonitorOptions options;
-  options.engine = core::MonitorEngine::kBatch;
-  ScenarioRunner runner(spec, options);
-  Reference ref;
-  while (runner.ticks_run() < spec.ticks) {
-    ref.inferences.push_back(runner.step());
-    ref.variances.push_back(ref.inferences.back().has_value()
-                                ? runner.monitor().variances().v
-                                : linalg::Vector());
-  }
-  return ref;
-}
-
 const Reference& shared_reference() {
-  static const Reference ref = batch_reference(parity_spec());
+  static const Reference ref = losstomo::testing::oracle_scenario_run(
+      parity_spec(), losstomo::testing::scratch_file("feed.bin"));
   return ref;
 }
 
@@ -111,10 +98,9 @@ void expect_parity(const ScenarioSpec& spec,
 
   // No relearn-from-scratch: one factorization for the whole run, all
   // churn absorbed incrementally.
-  const auto* eqs = runner.monitor().streaming_equations();
-  ASSERT_NE(eqs, nullptr) << label;
-  EXPECT_EQ(eqs->refactorizations(), 1u) << label;
-  EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
+  const auto& eqs = runner.monitor().streaming_equations();
+  EXPECT_EQ(eqs.refactorizations(), 1u) << label;
+  EXPECT_EQ(eqs.downdate_fallbacks(), 0u) << label;
 }
 
 TEST(ChurnParity, AllEventTypesMatchBatchAtAnyThreadCount) {
@@ -156,18 +142,17 @@ TEST(ChurnParity, CountersShowBorderedUpdatesNotRelearns) {
   options.lia.variance.factor_update_cap = 1u << 20;
   ScenarioRunner runner(spec, options);
   (void)runner.run();
-  const auto* eqs = runner.monitor().streaming_equations();
-  ASSERT_NE(eqs, nullptr);
-  EXPECT_EQ(eqs->refactorizations(), 1u);
-  EXPECT_GT(eqs->rank1_updates(), 0u);
-  EXPECT_EQ(eqs->downdate_fallbacks(), 0u);
+  const auto& eqs = runner.monitor().streaming_equations();
+  EXPECT_EQ(eqs.refactorizations(), 1u);
+  EXPECT_GT(eqs.rank1_updates(), 0u);
+  EXPECT_EQ(eqs.downdate_fallbacks(), 0u);
 
   core::MonitorOptions stale;
   ScenarioRunner stale_runner(spec, stale);
   (void)stale_runner.run();
-  const auto* stale_eqs = stale_runner.monitor().streaming_equations();
-  EXPECT_EQ(stale_eqs->refactorizations(), 1u);
-  EXPECT_GT(stale_eqs->refine_iterations(), 0u);
+  const auto& stale_eqs = stale_runner.monitor().streaming_equations();
+  EXPECT_EQ(stale_eqs.refactorizations(), 1u);
+  EXPECT_GT(stale_eqs.refine_iterations(), 0u);
 }
 
 TEST(ChurnParity, PairIndexedAccumulatorMatchesBatch) {

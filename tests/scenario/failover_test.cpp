@@ -116,9 +116,8 @@ UninterruptedRun uninterrupted(const ScenarioSpec& spec,
                              ? std::optional<linalg::Vector>(inference->loss)
                              : std::nullopt);
   }
-  const auto* eqs = runner.monitor().streaming_equations();
-  EXPECT_NE(eqs, nullptr);
-  if (eqs) run.refactorizations = eqs->refactorizations();
+  run.refactorizations =
+      runner.monitor().streaming_equations().refactorizations();
   return run;
 }
 
@@ -145,11 +144,10 @@ void expect_bit_identical_resume(const ScenarioSpec& spec,
     EXPECT_EQ(runner.monitor().variances().jitter_used, 0.0)
         << label << " tick " << tick;
   }
-  const auto* eqs = runner.monitor().streaming_equations();
-  ASSERT_NE(eqs, nullptr) << label;
-  EXPECT_EQ(eqs->refactorizations(), ref.refactorizations) << label;
-  EXPECT_EQ(eqs->refactorizations(), 1u) << label;
-  EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
+  const auto& eqs = runner.monitor().streaming_equations();
+  EXPECT_EQ(eqs.refactorizations(), ref.refactorizations) << label;
+  EXPECT_EQ(eqs.refactorizations(), 1u) << label;
+  EXPECT_EQ(eqs.downdate_fallbacks(), 0u) << label;
 }
 
 TEST(Failover, KillAtEveryTickResumesBitIdentically) {
@@ -238,9 +236,8 @@ TEST(Failover, ScriptedFailoverEventsAreInvisible) {
   const auto outcome = runner.outcome();
   // All three failover events applied, on top of the regular churn.
   EXPECT_EQ(outcome.events_applied, clean_runner.outcome().events_applied + 3);
-  const auto* eqs = runner.monitor().streaming_equations();
-  ASSERT_NE(eqs, nullptr);
-  EXPECT_EQ(eqs->refactorizations(), 1u);
+  const auto& eqs = runner.monitor().streaming_equations();
+  EXPECT_EQ(eqs.refactorizations(), 1u);
   std::remove("/tmp/losstomo_failover.ckpt");
 }
 

@@ -2,8 +2,9 @@
 // shape — a reroute (single-row append), a mass `grow` burst (batched
 // multi-row append), and a `grow_links` burst whose routes introduce fresh
 // virtual links (bordered nc growth) — driven through ScenarioRunner,
-// where the streaming engine must stay within 1e-10 of a batch re-learn at
-// every tick, at 1, 2, and 8 threads, with exactly ONE factorization per
+// where the streaming monitor must stay within 1e-10 of the batch relearn
+// oracle (tests/batch_oracle.hpp) at every tick, at 1, 2, and 8 threads,
+// with exactly ONE factorization per
 // run: growth is absorbed by batched pair registration, rank-1/pin border
 // steps, and bordered identity growth of the cached factor, never a
 // relearn.
@@ -19,10 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "batch_oracle.hpp"
 #include "core/monitor.hpp"
 #include "linalg/matrix.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "test_util.hpp"
 
 namespace losstomo::scenario {
 namespace {
@@ -51,7 +54,8 @@ ScenarioSpec mass_grow_spec() {
 // Instance selection: in link-discovery mode a fresh link's junction must
 // already branch among the initial paths, or the pre-growth G is EXACTLY
 // singular (two virtual links indistinguishable until the grown path
-// arrives) and both engines live on the jitter/rank-revealing degradation
+// arrives) and both the monitor and the oracle live on the
+// jitter/rank-revealing degradation
 // path, where tight parity is ill-posed.  This wide tree (branching 6,
 // topology seed 2) keeps G clean through both growth events — asserted via
 // jitter_used == 0 below.
@@ -116,23 +120,11 @@ core::MonitorOptions growth_monitor_options(std::size_t threads = 0) {
   return options;
 }
 
-struct Reference {
-  std::vector<std::optional<core::LossInference>> inferences;
-  std::vector<linalg::Vector> variances;
-};
+using Reference = losstomo::testing::OracleRun;
 
 Reference batch_reference(const ScenarioSpec& spec) {
-  core::MonitorOptions options;
-  options.engine = core::MonitorEngine::kBatch;
-  ScenarioRunner runner(spec, options);
-  Reference ref;
-  while (runner.ticks_run() < spec.ticks) {
-    ref.inferences.push_back(runner.step());
-    ref.variances.push_back(ref.inferences.back().has_value()
-                                ? runner.monitor().variances().v
-                                : linalg::Vector());
-  }
-  return ref;
+  return losstomo::testing::oracle_scenario_run(
+      spec, losstomo::testing::scratch_file(spec.name + ".bin"));
 }
 
 void expect_growth_parity(const ScenarioSpec& spec, const Reference& ref,
@@ -162,11 +154,10 @@ void expect_growth_parity(const ScenarioSpec& spec, const Reference& ref,
           << label << " tick " << tick;
     }
     EXPECT_EQ(compared, spec.ticks - spec.window) << label;
-    const auto* eqs = runner.monitor().streaming_equations();
-    ASSERT_NE(eqs, nullptr) << label;
-    EXPECT_EQ(eqs->refactorizations(), 1u) << label;
-    EXPECT_EQ(eqs->downdate_fallbacks(), 0u) << label;
-    EXPECT_EQ(eqs->links_grown(), expected_links_grown) << label;
+    const auto& eqs = runner.monitor().streaming_equations();
+    EXPECT_EQ(eqs.refactorizations(), 1u) << label;
+    EXPECT_EQ(eqs.downdate_fallbacks(), 0u) << label;
+    EXPECT_EQ(eqs.links_grown(), expected_links_grown) << label;
   }
 }
 
@@ -224,7 +215,7 @@ TEST(GrowthParity, PairAccumulatorMatchesBatchThroughGrowth) {
           << spec.name << " tick " << tick;
     }
     EXPECT_EQ(compared, spec.ticks - spec.window) << spec.name;
-    EXPECT_EQ(runner.monitor().streaming_equations()->refactorizations(), 1u)
+    EXPECT_EQ(runner.monitor().streaming_equations().refactorizations(), 1u)
         << spec.name;
   }
 }

@@ -70,8 +70,7 @@ TEST(ScenarioReplay, ReplayIsBitIdenticalAcrossThreadCounts) {
   recorder.record_trace(trace);
   EXPECT_FALSE(recorder.replaying());
   const auto reference = run_collecting(recorder);
-  const auto* ref_eqs = recorder.monitor().streaming_equations();
-  ASSERT_NE(ref_eqs, nullptr);
+  const auto& ref_eqs = recorder.monitor().streaming_equations();
 
   {
     // The recorded trace is universe-width, log-flagged, one row per tick.
@@ -100,10 +99,9 @@ TEST(ScenarioReplay, ReplayIsBitIdenticalAcrossThreadCounts) {
             << label << " tick " << t << " link " << k;
       }
     }
-    const auto* eqs = replayer.monitor().streaming_equations();
-    ASSERT_NE(eqs, nullptr) << label;
-    EXPECT_EQ(eqs->refactorizations(), ref_eqs->refactorizations()) << label;
-    EXPECT_EQ(eqs->rank1_updates(), ref_eqs->rank1_updates()) << label;
+    const auto& eqs = replayer.monitor().streaming_equations();
+    EXPECT_EQ(eqs.refactorizations(), ref_eqs.refactorizations()) << label;
+    EXPECT_EQ(eqs.rank1_updates(), ref_eqs.rank1_updates()) << label;
     // Events still applied on schedule during replay.
     EXPECT_EQ(replayer.events_applied(), recorder.events_applied()) << label;
   }

@@ -235,9 +235,8 @@ TEST(ScenarioRunner, GrowLinksDiscoversFreshColumns) {
   // This instance genuinely discovers links mid-run (otherwise the test
   // would pin nothing; reseed the topology if generation ever changes).
   EXPECT_LT(initial_cols, universe_links);
-  const auto* eqs = runner.monitor().streaming_equations();
-  ASSERT_NE(eqs, nullptr);
-  EXPECT_EQ(eqs->links_grown(), universe_links - initial_cols);
+  const auto& eqs = runner.monitor().streaming_equations();
+  EXPECT_EQ(eqs.links_grown(), universe_links - initial_cols);
 }
 
 // Lazy simulation must not change anything the monitor ever reads: the
