@@ -17,6 +17,7 @@
 #include "common.hpp"
 #include "core/variance_estimator.hpp"
 #include "linalg/kernels.hpp"
+#include "reference_estimator.hpp"
 #include "util/parallel.hpp"
 
 namespace {
@@ -140,17 +141,19 @@ int main(int argc, char** argv) {
   });
 
   // --- full normal-equation build (covariance system, drop-negative) ------
-  core::VarianceOptions scalar_opts;
-  scalar_opts.negatives = core::NegativeCovariancePolicy::kDrop;
-  scalar_opts.use_reference_impl = true;
-  core::VarianceOptions blocked_opts = scalar_opts;
-  blocked_opts.use_reference_impl = false;
+  // The scalar baseline is the seed's pairwise loop
+  // (tests/reference_estimator.hpp); like build_normal_equations it centres
+  // the snapshots inside the timed region.
+  core::VarianceOptions blocked_opts;
+  blocked_opts.negatives = core::NegativeCovariancePolicy::kDrop;
   blocked_opts.threads = 1;
   core::VarianceOptions parallel_opts = blocked_opts;
   parallel_opts.threads = threads;
 
   const double build_scalar = time_best(reps, sink, [&] {
-    return checksum(core::build_normal_equations(r, y, scalar_opts).g);
+    const stats::CenteredSnapshots snapshots(y);
+    return checksum(
+        testing::accumulate_pairwise_reference(r, snapshots, true).g);
   });
   const double build_blocked = time_best(reps, sink, [&] {
     return checksum(core::build_normal_equations(r, y, blocked_opts).g);

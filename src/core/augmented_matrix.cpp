@@ -35,17 +35,6 @@ linalg::Matrix build_augmented_matrix(const linalg::SparseBinaryMatrix& r,
   return a;
 }
 
-linalg::Vector packed_covariances(const stats::CenteredSnapshots& y) {
-  const std::size_t np = y.dim();
-  linalg::Vector sigma(pair_count(np), 0.0);
-  for (std::size_t i = 0; i < np; ++i) {
-    for (std::size_t j = i; j < np; ++j) {
-      sigma[pair_index(i, j, np)] = y.covariance(i, j);
-    }
-  }
-  return sigma;
-}
-
 linalg::Vector packed_covariances(const linalg::Matrix& s) {
   const std::size_t np = s.rows();
   linalg::Vector sigma(pair_count(np), 0.0);

@@ -47,13 +47,9 @@ linalg::Matrix build_augmented_matrix(const linalg::SparseBinaryMatrix& r,
                                       std::size_t max_entries = 50'000'000,
                                       std::size_t threads = 0);
 
-/// Packed vector of sample covariances Sigma*_(i,j) = cov(Y_i, Y_j) for all
-/// i <= j, aligned with build_augmented_matrix's rows.  This is the
-/// retained scalar reference: O(np^2 m) pairwise passes over the snapshots.
-linalg::Vector packed_covariances(const stats::CenteredSnapshots& y);
-
-/// Fast path: packs an already-computed covariance matrix S (from
-/// stats::covariance_matrix) into the same row order.
+/// Packed vector of sample covariances Sigma*_(i,j) = S(i, j) for all
+/// i <= j, aligned with build_augmented_matrix's rows, from an
+/// already-computed covariance matrix S (stats::covariance_matrix).
 linalg::Vector packed_covariances(const linalg::Matrix& s);
 
 /// Implicit normal equations: G = A^T A from the co-traversal Gram matrix,

@@ -1,6 +1,7 @@
 #include "core/monitor.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -106,6 +107,16 @@ void require_drop_negative(const MonitorOptions& options) {
   }
 }
 
+// A NaN or infinity would poison the window statistics until the next
+// drift refresh (and a NaN covariance passes the drop-negative test), so
+// snapshots are checked before any state changes.
+void require_finite(std::span<const double> values) {
+  if (!std::all_of(values.begin(), values.end(),
+                   [](double v) { return std::isfinite(v); })) {
+    throw std::invalid_argument("snapshot has a non-finite entry");
+  }
+}
+
 void save_estimate(io::CheckpointWriter& writer, const VarianceEstimate& e) {
   writer.begin_section(io::tags::kVarianceEstimate);
   writer.doubles(e.v);
@@ -137,7 +148,6 @@ VarianceEstimate restore_estimate(io::CheckpointReader& reader) {
 LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
     : options_(resolve_monitor_options(std::move(options), r)),
       r_(std::move(r)),
-      lia_(r_, options_.lia),
       store_(options_.accumulator == CovarianceAccumulator::kSharingPairs
                  ? std::make_shared<SharingPairStore>(SharingPairStore::build(
                        r_, options_.lia.variance.threads))
@@ -180,16 +190,10 @@ void LiaMonitor::publish_telemetry() {
   t.links_pinned->set(static_cast<double>(equations_.links_pinned()));
   t.pending_flips->set(static_cast<double>(equations_.pending_flips()));
   if (store_) t.pairs->set(store_->pair_count());
-  const VarianceEstimate* estimate = nullptr;
-  if (churn_ && churn_variance_) {
-    estimate = &*churn_variance_;
-  } else if (lia_.trained()) {
-    estimate = &lia_.variances();
-  }
-  if (estimate != nullptr) {
-    t.equations_used->set(static_cast<double>(estimate->equations_used));
-    t.equations_dropped->set(static_cast<double>(estimate->equations_dropped));
-    t.negative_clamped->set(static_cast<double>(estimate->negative_clamped));
+  if (variance_) {
+    t.equations_used->set(static_cast<double>(variance_->equations_used));
+    t.equations_dropped->set(static_cast<double>(variance_->equations_dropped));
+    t.negative_clamped->set(static_cast<double>(variance_->negative_clamped));
   }
 }
 
@@ -211,8 +215,8 @@ void LiaMonitor::push_snapshot(std::span<const double> y) {
 }
 
 const VarianceEstimate& LiaMonitor::variances() const {
-  if (churn_ && churn_variance_) return *churn_variance_;
-  return lia_.variances();
+  if (!variance_) throw std::logic_error("variances unavailable before learn");
+  return *variance_;
 }
 
 std::size_t LiaMonitor::active_path_count() const {
@@ -225,7 +229,6 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
   if (path >= r_.rows()) throw std::invalid_argument("path out of range");
   require_drop_negative(options_);
   if ((active_[path] != 0) == active) return;
-  churn_ = true;
   active_[path] = active ? 1 : 0;
   if (active) activated_tick_[path] = ticks_;
   active_dirty_ = true;
@@ -263,7 +266,6 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   const std::size_t index = r_.rows();
   const std::size_t count = rows.size();
   r_.append_rows(new_links, std::move(rows));  // validates the rows
-  churn_ = true;
   active_.resize(index + count, 1);
   activated_tick_.resize(index + count, ticks_);
   active_dirty_ = true;
@@ -295,40 +297,20 @@ void LiaMonitor::rebuild_active() {
   active_dirty_ = false;
 }
 
-void LiaMonitor::relearn_churn() {
+void LiaMonitor::relearn() {
   rebuild_active();
   equations_.refresh(streaming_source());
-  churn_variance_ = equations_.solve();
-  churn_elimination_ = eliminate_low_variance_links(
-      *active_r_, churn_variance_->v, options_.lia.elimination);
+  variance_ = equations_.solve();
+  elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
+                                              options_.lia.elimination);
 }
 
-std::optional<LossInference> LiaMonitor::observe_churn(
-    std::span<const double> y) {
-  std::optional<LossInference> result;
-  if (window_fill() == options_.window) {
-    obs::Span solve_span(obs_ ? obs_->registry : nullptr,
-                         obs_ ? obs_->solve_phase : 0);
-    if (!churn_variance_ || ++since_learn_ >= options_.relearn_every) {
-      relearn_churn();
-      since_learn_ = 0;
-    }
-    if (churn_variance_ && churn_elimination_) {
-      linalg::Vector y_active(active_rows_.size());
-      for (std::size_t idx = 0; idx < active_rows_.size(); ++idx) {
-        y_active[idx] = y[active_rows_[idx]];
-      }
-      result =
-          infer_snapshot_losses(*active_r_, *churn_elimination_, y_active);
-    }
+std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
+  if (y.size() != r_.rows()) {
+    throw std::invalid_argument("snapshot size");
   }
-  {
-    obs::Span accumulate_span(obs_ ? obs_->registry : nullptr,
-                              obs_ ? obs_->accumulate_phase : 0);
-    push_snapshot(y);
-  }
-  publish_telemetry();
-  return result;
+  require_finite(y);
+  return tick(y);
 }
 
 void LiaMonitor::observe_block(std::span<const double> values,
@@ -338,33 +320,32 @@ void LiaMonitor::observe_block(std::span<const double> values,
   if (values.size() != rows * np) {
     throw std::invalid_argument("observe_block size != rows * paths");
   }
+  require_finite(values);
   for (std::size_t r = 0; r < rows; ++r) {
     obs::Span tick_span(obs_ ? obs_->registry : nullptr,
                         obs_ ? obs_->tick_phase : 0);
-    const auto inference = observe(values.subspan(r * np, np));
+    const auto inference = tick(values.subspan(r * np, np));
     if (on_inference && inference) on_inference(ticks_ - 1, *inference);
   }
 }
 
-std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
-  if (y.size() != r_.rows()) {
-    throw std::invalid_argument("snapshot size");
-  }
+std::optional<LossInference> LiaMonitor::tick(std::span<const double> y) {
   ++ticks_;
-  if (churn_) return observe_churn(y);
-
   std::optional<LossInference> result;
   if (window_fill() == options_.window) {
     // Window full: (re)learn if due, then diagnose this snapshot using the
     // PRECEDING window only (the paper's m-then-(m+1) split).
-    if (!lia_.trained() || ++since_learn_ >= options_.relearn_every) {
+    if (!variance_ || ++since_learn_ >= options_.relearn_every) {
       obs::Span solve_span(obs_ ? obs_->registry : nullptr,
                            obs_ ? obs_->solve_phase : 0);
-      equations_.refresh(streaming_source());
-      lia_.adopt(equations_.solve());
+      relearn();
       since_learn_ = 0;
     }
-    result = lia_.infer(y);
+    linalg::Vector y_active(active_rows_.size());
+    for (std::size_t idx = 0; idx < active_rows_.size(); ++idx) {
+      y_active[idx] = y[active_rows_[idx]];
+    }
+    result = infer_snapshot_losses(*active_r_, *elimination_, y_active);
   }
   // Every snapshot enters the window — also between relearns — so a
   // delayed relearn sees the full intermediate history.
@@ -393,13 +374,10 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   for (std::size_t i = 0; i < r_.rows(); ++i) writer.u32s(r_.row(i));
   writer.usize(ticks_);
   writer.usize(since_learn_);
-  writer.boolean(churn_);
   writer.u8s(active_);
   writer.sizes(activated_tick_);
-  writer.boolean(lia_.trained());
-  if (lia_.trained()) save_estimate(writer, lia_.variances());
-  writer.boolean(churn_variance_.has_value());
-  if (churn_variance_) save_estimate(writer, *churn_variance_);
+  writer.boolean(variance_.has_value());
+  if (variance_) save_estimate(writer, *variance_);
   if (store_) {
     store_->save_state(writer);
     pair_accumulator_->save_state(writer);
@@ -462,24 +440,17 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   }
   const std::size_t ticks = reader.usize();
   const std::size_t since_learn = reader.usize();
-  const bool churn = reader.boolean();
   std::vector<std::uint8_t> active = reader.u8s();
   std::vector<std::size_t> activated_tick = reader.sizes();
   if (active.size() != nrows || activated_tick.size() != nrows) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "activation ledger size != path count");
   }
-  std::optional<VarianceEstimate> lia_estimate;
-  if (reader.boolean()) lia_estimate = restore_estimate(reader);
-  if (lia_estimate && lia_estimate->v.size() != lia_.routing().cols()) {
+  std::optional<VarianceEstimate> estimate;
+  if (reader.boolean()) estimate = restore_estimate(reader);
+  if (estimate && estimate->v.size() != cols) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "adopted variance estimate has wrong size");
-  }
-  std::optional<VarianceEstimate> churn_estimate;
-  if (reader.boolean()) churn_estimate = restore_estimate(reader);
-  if (churn_estimate && churn_estimate->v.size() != cols) {
-    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "churn variance estimate has wrong size");
+                              "variance estimate has wrong size");
   }
 
   // Reconstruct the engine stack over the restored routing, restore its
@@ -510,7 +481,6 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   r_ = std::move(*new_r);
   ticks_ = ticks;
   since_learn_ = since_learn;
-  churn_ = churn;
   active_ = std::move(active);
   activated_tick_ = std::move(activated_tick);
   active_dirty_ = true;
@@ -520,15 +490,12 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   accumulator_ = std::move(acc);
   pair_accumulator_ = std::move(pair_acc);
   equations_ = std::move(*equations);
-  if (lia_estimate) lia_.adopt(std::move(*lia_estimate));
-  if (churn_ && churn_estimate) {
-    churn_variance_ = std::move(churn_estimate);
+  variance_ = std::move(estimate);
+  elimination_.reset();
+  if (variance_) {
     rebuild_active();
-    churn_elimination_ = eliminate_low_variance_links(
-        *active_r_, churn_variance_->v, options_.lia.elimination);
-  } else {
-    churn_variance_.reset();
-    churn_elimination_.reset();
+    elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
+                                                options_.lia.elimination);
   }
   if (obs_) {
     // The engine stack was rebuilt: drop a marker and republish from the

@@ -6,18 +6,23 @@
 // is the pattern used by examples/overlay_monitoring and the §7.2.2
 // duration study, packaged so library users get it directly.
 //
-// The per-tick relearn is incremental: an accumulator keeps the window
-// covariance current under rank-1 add/retire updates, and a
-// StreamingNormalEquations instance refreshes h (and the sign-flipped
-// parts of G) from it, re-using the cached Cholesky factor while G is
-// unchanged.  Steady-state tick cost is independent of the window length;
-// under the keep-all policy G never changes and the normal equations are
-// factorized exactly once.  The accumulator is selectable: the dense
-// stats::StreamingMoments (full S, O(np^2) per tick) or the pair-indexed
-// core::PairMoments (sharing-pair entries only, O(np + pairs) per tick —
-// the configuration that scales drop-negative monitoring to
-// multi-thousand-path overlays).  Every observed snapshot enters the
-// window regardless of relearn_every.
+// Every diagnosing tick runs one procedure: Phase 1 learns the link
+// variances from the m preceding snapshots, then Phase 2
+// (eliminate_low_variance_links + infer_snapshot_losses) diagnoses
+// snapshot m+1 on the active-row submatrix of the routing matrix.  An
+// overlay without churn is the case where every path is active.
+//
+// The relearn is incremental: an accumulator keeps the window covariance
+// current under rank-1 add/retire updates, and a StreamingNormalEquations
+// instance refreshes h (and the sign-flipped parts of G) from it,
+// re-using the cached Cholesky factor while G is unchanged.  Steady-state
+// tick cost is independent of the window length; under the keep-all
+// policy G never changes and the normal equations are factorized exactly
+// once.  The accumulator is selectable: the dense stats::StreamingMoments
+// (full S, O(np^2) per tick) or the pair-indexed core::PairMoments
+// (sharing-pair entries only, O(np + pairs) per tick — the configuration
+// that scales drop-negative monitoring to multi-thousand-path overlays).
+// Every observed snapshot enters the window regardless of relearn_every.
 //
 // The inferences match the paper's procedure — Lia::learn on the m
 // preceding snapshots, then Phase 2 on snapshot m+1 — to <= 1e-10; the
@@ -43,7 +48,8 @@
 // the cached factor — no refactorization.
 // A (re)joining path warms up for one full window before its pair
 // equations enter Phase 1 (exactly the warm-up the initial window
-// imposes); Phase 2 runs on the active-row submatrix every relearn.
+// imposes), and every churn event forces a relearn at the next
+// diagnosing tick, so Phase 2 always runs on the current active set.
 // Path churn requires the drop-negative policy.  Callers must keep
 // supplying a snapshot entry for every known row — 0.0 for inactive
 // paths (a deterministic filler; never read by the estimator).
@@ -134,11 +140,13 @@ class LiaMonitor {
   /// Observes one snapshot (Y = log path transmission rates).  Returns the
   /// inference for this snapshot, or std::nullopt while the window is
   /// still filling (the first `window` snapshots are learning-only).
-  /// `y.size()` must equal routing().rows() (throws
-  /// std::invalid_argument).  Steady-state cost per tick: the accumulator
-  /// update (O(np^2) dense, O(np + pairs) pair-indexed) + the
-  /// normal-equation refresh (proportional to the sharing structure) + the
-  /// cached-factor solve — independent of the window length.
+  /// Throws std::invalid_argument, before any state changes, unless
+  /// `y.size()` equals routing().rows() and every entry is finite (a NaN
+  /// or infinity would poison the window statistics).  Steady-state cost
+  /// per tick: the accumulator update (O(np^2) dense, O(np + pairs)
+  /// pair-indexed) + the normal-equation refresh (proportional to the
+  /// sharing structure) + the cached-factor solve — independent of the
+  /// window length.
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -151,8 +159,10 @@ class LiaMonitor {
   /// here with zero copies).  Tick-identical to `rows` observe() calls:
   /// each row still advances the window, relearn cadence, and diagnosis
   /// exactly as observe() would, so inferences are bit-identical to the
-  /// per-row loop.  `on_inference` (optional) fires for every tick that
-  /// produces a diagnosis.
+  /// per-row loop.  The whole block is validated first: a non-finite entry
+  /// anywhere throws std::invalid_argument before any row is consumed.
+  /// `on_inference` (optional) fires for every tick that produces a
+  /// diagnosis.
   void observe_block(std::span<const double> values, std::size_t rows,
                      const InferenceFn& on_inference = {});
 
@@ -217,13 +227,12 @@ class LiaMonitor {
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // save_state serializes the complete mutable monitor: the (possibly
-  // grown) routing matrix, tick/relearn counters, churn flags and
-  // activation ledger, the streaming stack (shared pair store,
-  // accumulator rings, incrementally maintained normal equations with
-  // their cached factor), and the adopted Phase-1
-  // estimates.  Phase-2 eliminations are NOT serialized — they are pure
-  // functions of (routing, variances) and are recomputed on restore, bit-
-  // identically.
+  // grown) routing matrix, tick/relearn counters, the activation ledger,
+  // the streaming stack (shared pair store, accumulator rings,
+  // incrementally maintained normal equations with their cached factor),
+  // and the current Phase-1 estimate.  The Phase-2 elimination is NOT
+  // serialized — it is a pure function of (active routing rows,
+  // variances) and is recomputed on restore, bit-identically.
   //
   // restore_state targets a monitor constructed with the SAME options and
   // the same *initial* routing matrix (paths appended mid-run are replayed
@@ -239,14 +248,17 @@ class LiaMonitor {
  private:
   struct Telemetry;  // pre-resolved metric handles (monitor.cpp)
 
-  void relearn_churn();
+  /// One tick on a validated snapshot (observe/observe_block).
+  std::optional<LossInference> tick(std::span<const double> y);
+  /// Phase 1 on the current window + the Phase-2 elimination on the
+  /// active submatrix.
+  void relearn();
   void rebuild_active();
   /// Mirrors the deterministic engine state into the attached registry
   /// (no-op without one).  Called at the end of every observe() and after
   /// a restore commit, so exported counters always reflect the serialized
   /// state they are derived from.
   void publish_telemetry();
-  std::optional<LossInference> observe_churn(std::span<const double> y);
   void push_snapshot(std::span<const double> y);
   [[nodiscard]] std::size_t window_fill() const;
   /// The window statistics: the pair accumulator under kSharingPairs, the
@@ -255,20 +267,17 @@ class LiaMonitor {
 
   MonitorOptions options_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
-  Lia lia_;                       // non-churn learn/infer state
   std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
   std::optional<stats::StreamingMoments> accumulator_;  // kDense
   std::optional<PairMoments> pair_accumulator_;         // kSharingPairs
   StreamingNormalEquations equations_;
-  // Churn state (engaged at the first set_path_active/add_path call).
-  bool churn_ = false;
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> activated_tick_;  // ticks_ at last activation
   bool active_dirty_ = true;
   std::vector<std::uint32_t> active_rows_;
-  std::optional<linalg::SparseBinaryMatrix> active_r_;
-  std::optional<VarianceEstimate> churn_variance_;
-  std::optional<Elimination> churn_elimination_;
+  std::optional<linalg::SparseBinaryMatrix> active_r_;  // Phase-2 rows
+  std::optional<VarianceEstimate> variance_;
+  std::optional<Elimination> elimination_;  // on *active_r_
   std::size_t ticks_ = 0;
   std::size_t since_learn_ = 0;
   std::unique_ptr<Telemetry> obs_;  // nullptr unless options.telemetry

@@ -9,23 +9,23 @@
 // (two rank-1 passes over the stored pair list), and memory is O(np *
 // window + pairs) instead of O(np^2).
 //
-// The arithmetic mirrors StreamingMoments entry by entry (Youngs–Cramer
-// add/retire on the centred cross-products, deterministic periodic full
-// refresh from the retained ring), so the two accumulators agree to
-// floating-point drift on every stored pair.  The full covariance matrix is
-// deliberately NOT available — matrix() throws — which is why this source
-// only powers the drop-negative policy; keep-all's closed-form rhs needs
-// the dense S and stays on StreamingMoments.
+// Ring, means, Youngs–Cramer sequencing, refresh cadence and churn ledger
+// are the shared stats::SlidingWindow that StreamingMoments runs on too;
+// this class only adds the per-pair cross-products, their rank-1 and
+// exact-refresh kernels, and the pair reads.  The two accumulators
+// therefore agree to floating-point drift on every stored pair.  The full
+// covariance matrix is deliberately NOT available — matrix() throws —
+// which is why this source only powers the drop-negative policy;
+// keep-all's closed-form rhs needs the dense S and stays on
+// StreamingMoments.
 //
-// Path churn follows the same uniform-invariant design as StreamingMoments:
-// add/retire is bookkeeping (per-dimension validity), push a zero filler
-// for inactive paths, and a grown dimension starts with an all-zero ring
-// history that already satisfies the incremental invariant.  The pair list
-// itself grows through SharingPairStore::add_row (driven by the monitor).
+// Path churn is window bookkeeping (push a zero filler for inactive
+// paths; a grown dimension starts with an all-zero ring history).  The
+// pair list itself grows through SharingPairStore::add_rows (driven by the
+// monitor).
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -33,8 +33,7 @@
 #include "core/sharing_pairs.hpp"
 #include "linalg/matrix.hpp"
 #include "stats/covariance_source.hpp"
-#include "stats/moments.hpp"
-#include "stats/streaming.hpp"
+#include "stats/sliding_window.hpp"
 
 namespace losstomo::core {
 
@@ -68,8 +67,8 @@ class PairMoments final : public stats::CovarianceSource {
   void refresh();
 
   // CovarianceSource:
-  [[nodiscard]] std::size_t dim() const override { return dim_; }
-  [[nodiscard]] std::size_t count() const override { return count_; }
+  [[nodiscard]] std::size_t dim() const override { return window_.dim(); }
+  [[nodiscard]] std::size_t count() const override { return window_.count(); }
   /// O(log deg) pair lookup; returns 0 for pairs that share no link (their
   /// covariance is never consumed by the drop-negative path).
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
@@ -77,13 +76,17 @@ class PairMoments final : public stats::CovarianceSource {
   /// Throws std::logic_error.
   [[nodiscard]] const linalg::Matrix& matrix() const override;
   [[nodiscard]] bool matrix_is_cheap() const override { return false; }
-  [[nodiscard]] std::size_t samples(std::size_t i) const override;
-  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const;
+  [[nodiscard]] std::size_t samples(std::size_t i) const override {
+    return window_.samples(i);
+  }
+  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const {
+    return window_.pair_ready(i, j);
+  }
 
   /// Covariance of stored pair p — the O(1) read the aligned
   /// StreamingNormalEquations refresh uses.  Requires count() >= 2.
   [[nodiscard]] double pair_covariance(std::size_t p) const {
-    return values_[p] / static_cast<double>(count_ - 1);
+    return values_[p] / static_cast<double>(count() - 1);
   }
   /// The store the pair values are indexed by (the monitor's shared one).
   [[nodiscard]] const SharingPairStore* store() const { return store_.get(); }
@@ -93,32 +96,32 @@ class PairMoments final : public stats::CovarianceSource {
     return values_;
   }
 
-  [[nodiscard]] std::size_t window() const { return options_.window; }
-  [[nodiscard]] bool full() const { return count_ == options_.window; }
-  [[nodiscard]] std::size_t pushes() const { return pushes_; }
-  [[nodiscard]] std::size_t refreshes() const { return refreshes_; }
+  [[nodiscard]] std::size_t window() const { return window_.window(); }
+  [[nodiscard]] bool full() const { return count() == window(); }
+  [[nodiscard]] std::size_t pushes() const { return window_.pushes(); }
+  [[nodiscard]] std::size_t refreshes() const { return window_.refreshes(); }
 
   // Path churn (same contract as stats::StreamingMoments):
-  void activate_path(std::size_t i);
-  void retire_path(std::size_t i);
+  void activate_path(std::size_t i) { window_.activate(i); }
+  void retire_path(std::size_t i) { window_.retire(i); }
   /// Appends one dimension (active, zero samples) and extends the pair
   /// values to match the store — call AFTER SharingPairStore::add_row.
   /// Returns the new dimension's index.
-  std::size_t add_path();
+  std::size_t add_path() { return add_paths(1); }
   /// Batched growth: appends `count` dimensions at once, state-identical
   /// to `count` add_path() calls but with ONE ring reallocation — call
   /// AFTER SharingPairStore::add_rows.  Returns the first new dimension's
   /// index.
   std::size_t add_paths(std::size_t count);
   [[nodiscard]] bool path_active(std::size_t i) const {
-    return churn_.active(i);
+    return window_.active(i);
   }
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // Same contract as stats::StreamingMoments::save_state/restore_state:
-  // ring, means, per-pair cross-products, churn ledger, and cadence
-  // counters round-trip bit-exactly; delta_ scratch is rebuilt.  The
+  // the window (ring, means, churn ledger, cadence counters) and the
+  // per-pair cross-products round-trip bit-exactly.  The
   // SharingPairStore is serialized by its owner (the monitor) — restore
   // targets an accumulator already constructed over the restored store and
   // throws io::CheckpointError(kMismatch) on any shape disagreement.
@@ -126,24 +129,12 @@ class PairMoments final : public stats::CovarianceSource {
   void restore_state(io::CheckpointReader& reader);
 
  private:
-  void add(std::span<const double> y);
-  void retire(std::span<const double> y);
   /// values_[p] += w * delta_i delta_j over every stored pair (parallel,
   /// disjoint writes — bit-identical at any thread count).
   void rank1(double w);
 
   std::shared_ptr<const SharingPairStore> store_;
-  std::size_t dim_;
-  stats::StreamingMomentsOptions options_;
-  stats::PathChurnLedger churn_;  // shared activation/validity rule
-  stats::SnapshotMatrix ring_;  // window rows; head_ = oldest
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t pushes_ = 0;
-  std::size_t since_refresh_ = 0;
-  std::size_t refreshes_ = 0;
-  linalg::Vector mean_;
-  linalg::Vector delta_;
+  stats::SlidingWindow window_;
   std::vector<double> values_;  // centred cross-product per stored pair
 };
 

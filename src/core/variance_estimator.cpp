@@ -18,43 +18,21 @@ namespace losstomo::core {
 
 namespace {
 
-// Retained scalar reference of the pairwise accumulation (drop-negative
-// policy): every path pair recomputes its sample covariance with an O(m)
-// inner loop.  The blocked path below must match it to last-ulps rounding;
-// the parity tests enforce that.
-NormalEquations accumulate_pairwise_reference(
-    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y,
-    bool drop_negative) {
-  const std::size_t np = r.rows();
-  const std::size_t nc = r.cols();
-  const std::size_t m = y.count();
-  NormalEquations sys{linalg::Matrix(nc, nc), linalg::Vector(nc, 0.0)};
+// Largest path count for which kAuto resolves to the pairwise
+// (drop-negative) accumulation; beyond it the closed form (keep-all),
+// whose cost is independent of the number of path pairs.
+constexpr std::size_t kPairwisePathCap = 2000;
 
-  std::vector<std::uint32_t> shared;
-  for (std::size_t i = 0; i < np; ++i) {
-    const auto ri = r.row(i);
-    for (std::size_t j = i; j < np; ++j) {
-      linalg::intersect_sorted(ri, r.row(j), shared);
-      if (shared.empty()) continue;  // all-zero equation carries nothing
-      double cov = 0.0;
-      for (std::size_t l = 0; l < m; ++l) {
-        const auto row = y.sample(l);
-        cov += row[i] * row[j];
-      }
-      cov /= static_cast<double>(m - 1);
-      if (drop_negative && cov < 0.0) {
-        ++sys.dropped;
-        continue;
-      }
-      ++sys.used;
-      for (const auto a : shared) {
-        sys.h[a] += cov;
-        for (const auto b : shared) sys.g(a, b) += 1.0;
-      }
-    }
-  }
-  return sys;
-}
+// Streaming PCG refinement of a stale/drifted cached factor against the
+// exact integer-maintained G.  Residual target relative to ||h||_inf:
+// refinement stops once ||h - G v||_inf <= kRefineTolerance * ||h||_inf (a
+// recomputed true residual within 10x of the target is accepted).  A step
+// "contracts" when it multiplies the best residual seen by at most
+// kRefineContraction; kRefineStallWindow consecutive non-contracting steps
+// abort to the refactorization fallback.
+constexpr double kRefineTolerance = 1e-13;
+constexpr double kRefineContraction = 0.5;
+constexpr int kRefineStallWindow = 5;
 
 // Deterministic estimate of the pair-sharing structure: how many path
 // pairs share at least one link (fraction f) and how many links a sharing
@@ -116,11 +94,12 @@ SharingEstimate estimate_sharing(const linalg::SparseBinaryMatrix& r) {
 // chunk boundaries depend only on the problem size, so the reduction order
 // — and therefore the result — is bit-identical at any thread count.
 //
-// Caveat vs the scalar reference: under the matrix strategy a pair whose
-// true covariance sits within an ulp of zero can round to the opposite sign
-// than the scalar sum and flip its drop decision (one whole equation).  The
-// parity guarantee therefore assumes no covariance is exactly at the zero
-// boundary — sampling noise makes that measure-zero in practice.
+// Caveat vs the scalar reference (tests/reference_estimator.hpp): under
+// the matrix strategy a pair whose true covariance sits within an ulp of
+// zero can round to the opposite sign than the scalar sum and flip its
+// drop decision (one whole equation).  The parity guarantee therefore
+// assumes no covariance is exactly at the zero boundary — sampling noise
+// makes that measure-zero in practice.
 NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
                                             const stats::CovarianceSource& y,
                                             bool drop_negative,
@@ -271,45 +250,6 @@ NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
   return sys;
 }
 
-// Retained scalar reference of the closed form: the seed's sequential
-// sweeps (snapshot-outer path-variance accumulation, serial per-link
-// sums).  The parallel version above preserves every per-element summation
-// order, so the parity tests assert the two are equal — this function is
-// what makes that assertion meaningful.
-NormalEquations accumulate_closed_form_reference(
-    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y) {
-  NormalEquations sys;
-  const linalg::CoTraversalGram gram(r);
-  sys.g = gram.map_to_dense([](double n) { return n * (n + 1.0) / 2.0; }, 1);
-  sys.used = pair_count(r.rows());
-
-  const auto column_paths = r.column_lists();
-  const std::size_t nc = column_paths.size();
-  const std::size_t m = y.count();
-  sys.h.assign(nc, 0.0);
-  linalg::Vector path_var(y.dim(), 0.0);
-  for (std::size_t l = 0; l < m; ++l) {
-    const auto row = y.sample(l);
-    for (std::size_t i = 0; i < y.dim(); ++i) path_var[i] += row[i] * row[i];
-  }
-  for (auto& v : path_var) v /= static_cast<double>(m - 1);
-  for (std::size_t k = 0; k < nc; ++k) {
-    const auto& paths = column_paths[k];
-    double full_sum = 0.0;
-    for (std::size_t l = 0; l < m; ++l) {
-      const auto row = y.sample(l);
-      double s = 0.0;
-      for (const auto i : paths) s += row[i];
-      full_sum += s * s;
-    }
-    full_sum /= static_cast<double>(m - 1);
-    double diag = 0.0;
-    for (const auto i : paths) diag += path_var[i];
-    sys.h[k] = 0.5 * (full_sum + diag);
-  }
-  return sys;
-}
-
 // Rank-revealing fallback for a drop-negative G left singular (or
 // numerically so) by equation drops with every diagonal still positive:
 // pivoted Cholesky identifies the well-conditioned link subset, the
@@ -372,12 +312,7 @@ NormalEquations build_normal_equations_centered(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& centered,
     const VarianceOptions& options) {
   if (!resolve_negative_policy(options, r.rows())) {
-    return options.use_reference_impl
-               ? accumulate_closed_form_reference(r, centered)
-               : accumulate_closed_form(r, centered, options.threads);
-  }
-  if (options.use_reference_impl) {
-    return accumulate_pairwise_reference(r, centered, true);
+    return accumulate_closed_form(r, centered, options.threads);
   }
   const stats::BatchCovarianceSource source(centered, options.threads);
   return accumulate_pairwise_blocked(r, source, true, options.threads);
@@ -482,7 +417,7 @@ bool resolve_negative_policy(const VarianceOptions& options, std::size_t np) {
       return false;
     case NegativeCovariancePolicy::kAuto:
     default:
-      return np <= options.pairwise_path_cap;
+      return np <= kPairwisePathCap;
   }
 }
 
@@ -533,12 +468,9 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
   const bool drop_negative = resolve_negative_policy(options, r.rows());
 
   if (method == VarianceMethod::kDenseQr) {
-    const auto sigma_full =
-        options.use_reference_impl
-            ? packed_covariances(centered)
-            : packed_covariances(
-                  stats::covariance_matrix(centered, options.threads));
-    return dense_qr_estimate(r, sigma_full, drop_negative, options);
+    const auto s = stats::covariance_matrix(centered, options.threads);
+    return dense_qr_estimate(r, packed_covariances(s), drop_negative,
+                             options);
   }
 
   return solve_normal_system(build_normal_equations_centered(r, centered, options),
@@ -1075,7 +1007,7 @@ bool StreamingNormalEquations::refine(linalg::Vector& v) {
   const std::size_t n = sys_.h.size();
   double hnorm = 0.0;
   for (const double x : sys_.h) hnorm = std::max(hnorm, std::fabs(x));
-  const double tol = options_.refine_tolerance * std::max(hnorm, 1e-300);
+  const double tol = kRefineTolerance * std::max(hnorm, 1e-300);
 
   const linalg::Vector gv = sys_.g.multiply(v);
   linalg::Vector r(n);
@@ -1121,10 +1053,10 @@ bool StreamingNormalEquations::refine(linalg::Vector& v) {
       return true_rnorm <= 10.0 * tol;
     }
     if (rnorm > 100.0 * r0) return false;  // diverging
-    if (rnorm < options_.refine_contraction * best) {
+    if (rnorm < kRefineContraction * best) {
       best = rnorm;
       since_best = 0;
-    } else if (++since_best >= options_.refine_stall_window) {
+    } else if (++since_best >= kRefineStallWindow) {
       return false;  // stalled above tolerance
     }
     z = factor_->solve(r);

@@ -52,10 +52,6 @@ struct VarianceOptions {
   NegativeCovariancePolicy negatives = NegativeCovariancePolicy::kAuto;
   /// Largest dense A (in doubles) the kDenseQr backend may build.
   std::size_t dense_entry_cap = 20'000'000;
-  /// Largest path count for which the pairwise (drop-negative) accumulation
-  /// runs; beyond it kAuto switches to the closed form (keep-all), whose
-  /// cost is independent of the number of path pairs.
-  std::size_t pairwise_path_cap = 2000;
   /// Worker threads for the blocked covariance kernels and the parallel
   /// normal-equation accumulation.  0 = library default (LOSSTOMO_THREADS
   /// environment variable, else hardware concurrency).  Results are
@@ -76,24 +72,11 @@ struct VarianceOptions {
   /// the factor always current (e.g. to keep solve latency flat) can
   /// raise it.
   std::size_t factor_flip_threshold = 0;
-  /// Streaming drop-negative PCG refinement knobs (stale/drifted cached
-  /// factor polished against the exact integer-maintained G).  These trade
-  /// parity for tick latency in a deployment: a looser tolerance or a
-  /// smaller budget accepts a less-refined solve before falling back to a
-  /// full refactorization.
-  ///
-  /// Residual target, relative to ||h||_inf: refinement stops once
-  /// ||h - G v||_inf <= refine_tolerance * ||h||_inf (a recomputed true
-  /// residual within 10x of the target is accepted).
-  double refine_tolerance = 1e-13;
-  /// PCG iteration budget per solve; <= 0 disables refinement entirely, so
-  /// every inexact-factor tick refactorizes (the pre-PR-3 behaviour).
+  /// Streaming drop-negative PCG refinement budget per solve (a
+  /// stale/drifted cached factor polished against the exact
+  /// integer-maintained G); <= 0 disables refinement entirely, so every
+  /// inexact-factor tick refactorizes (the pre-PR-3 behaviour).
   int refine_max_iterations = 40;
-  /// A step "contracts" when it multiplies the best residual seen by at
-  /// most this factor; refine_stall_window consecutive non-contracting
-  /// steps abort to the refactorization fallback.
-  double refine_contraction = 0.5;
-  int refine_stall_window = 5;
   /// Drop-negative only: jitter-ladder rung (linalg::RegularizedCholesky
   /// escalation attempts; 1 = the base jitter) at which the solve abandons
   /// the regularized factorization and degrades through the pivoted
@@ -106,13 +89,6 @@ struct VarianceOptions {
   /// Links with no kept equation at all never reach this knob — they are
   /// identity-pinned exactly, with no jitter involved.
   int rank_revealing_min_attempts = 2;
-  /// Runs the retained scalar implementation (per-pair O(m) covariance
-  /// loops, sequential accumulation) instead of the blocked/parallel
-  /// kernels.  Kept for the parity tests and as a debugging fallback; the
-  /// two paths agree to last-ulps rounding (<= 1e-12 in practice, provided
-  /// no pair covariance sits within an ulp of the drop-negative zero
-  /// boundary — see accumulate_pairwise_blocked).
-  bool use_reference_impl = false;
 };
 
 struct VarianceEstimate {
@@ -141,21 +117,21 @@ struct NormalEquations {
 };
 
 /// The negative-covariance policy options.negatives resolves to for a
-/// problem with np paths (kAuto drops below pairwise_path_cap).  Exposed so
+/// problem with np paths (kAuto drops up to 2000 paths).  Exposed so
 /// streaming consumers mirror the batch resolution exactly.
 bool resolve_negative_policy(const VarianceOptions& options, std::size_t np);
 
 /// Assembles the covariance system without solving it — the O(np^2) hot
 /// path the blocked kernels accelerate.  Honours options.negatives /
-/// threads / use_reference_impl exactly like estimate_link_variances
-/// (options.method is ignored).  Exposed for benchmarking and diagnostics.
+/// threads exactly like estimate_link_variances (options.method is
+/// ignored).  Exposed for benchmarking and diagnostics; the scalar
+/// references it is pinned against live in tests/reference_estimator.hpp.
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
                                        const VarianceOptions& options = {});
 
 /// Same system assembled from an abstract CovarianceSource (batch wrapper
-/// or streaming accumulator).  `use_reference_impl` is ignored — the scalar
-/// references are snapshot-based and live on the SnapshotMatrix overload.
+/// or streaming accumulator).
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::CovarianceSource& source,
                                        const VarianceOptions& options = {});

@@ -3,18 +3,12 @@
 // A monitoring loop (core::LiaMonitor, paper §7) observes one np-dimensional
 // snapshot per measurement period and needs the covariance matrix S of the
 // most recent `window` snapshots every tick.  Recomputing S from the window
-// costs O(window * np^2); this accumulator maintains the running means and
-// the centred cross-product matrix C = sum_l (y_l - mean)(y_l - mean)^T
-// incrementally, Youngs–Cramer style:
-//
-//   add y:     delta = y - mean;  mean += delta / n;
-//              C += ((n-1)/n) * delta delta^T
-//   retire y:  delta = y - mean;  mean -= delta / (n-1);
-//              C -= (n/(n-1))  * delta delta^T
-//
-// so a steady-state tick (retire oldest + add newest) is two symmetric
-// rank-1 updates, O(np^2) independent of the window length, and
-// S = C / (n-1) is always available.
+// costs O(window * np^2); this accumulator keeps the full centred
+// cross-product matrix C = sum_l (y_l - mean)(y_l - mean)^T current under
+// the Youngs–Cramer add/retire updates of stats::SlidingWindow (ring,
+// means, cadence, churn ledger — shared with core::PairMoments), so a
+// steady-state tick is two symmetric rank-1 updates, O(np^2) independent
+// of the window length, and S = C / (n-1) is always available.
 //
 // Floating-point drift from the incremental updates is bounded by a
 // deterministic periodic full refresh: every `refresh_every` pushes the
@@ -25,26 +19,13 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "linalg/matrix.hpp"
 #include "stats/covariance_source.hpp"
-#include "stats/moments.hpp"
+#include "stats/sliding_window.hpp"
 
 namespace losstomo::stats {
-
-struct StreamingMomentsOptions {
-  /// Sliding-window length (the paper's m); once full, every push retires
-  /// the oldest snapshot.
-  std::size_t window = 50;
-  /// Full recompute cadence in pushes (drift bound); 0 = 2 * window.
-  std::size_t refresh_every = 0;
-  /// Worker threads for the rank-1 updates and the refresh SYRK
-  /// (0 = library default).  Results are bit-identical at any count.
-  std::size_t threads = 0;
-};
 
 class StreamingMoments final : public CovarianceSource {
  public:
@@ -69,19 +50,19 @@ class StreamingMoments final : public CovarianceSource {
   void push_block(std::span<const double> values, std::size_t rows);
 
   // CovarianceSource:
-  [[nodiscard]] std::size_t dim() const override { return dim_; }
-  [[nodiscard]] std::size_t count() const override { return count_; }
+  [[nodiscard]] std::size_t dim() const override { return window_.dim(); }
+  [[nodiscard]] std::size_t count() const override { return window_.count(); }
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
   [[nodiscard]] const linalg::Matrix& matrix() const override;
   [[nodiscard]] bool matrix_is_cheap() const override { return true; }
 
-  [[nodiscard]] std::size_t window() const { return options_.window; }
-  [[nodiscard]] bool full() const { return count_ == options_.window; }
-  [[nodiscard]] const linalg::Vector& means() const { return mean_; }
+  [[nodiscard]] std::size_t window() const { return window_.window(); }
+  [[nodiscard]] bool full() const { return count() == window(); }
+  [[nodiscard]] const linalg::Vector& means() const { return window_.means(); }
   /// Total snapshots ever pushed.
-  [[nodiscard]] std::size_t pushes() const { return pushes_; }
+  [[nodiscard]] std::size_t pushes() const { return window_.pushes(); }
   /// Full recomputes performed so far (diagnostic for the drift tests).
-  [[nodiscard]] std::size_t refreshes() const { return refreshes_; }
+  [[nodiscard]] std::size_t refreshes() const { return window_.refreshes(); }
 
   // -- Path churn (scenario engine) ---------------------------------------
   //
@@ -97,29 +78,33 @@ class StreamingMoments final : public CovarianceSource {
 
   /// Marks dimension i active from the next push on; its validity restarts
   /// at zero samples.  No-op when already active.
-  void activate_path(std::size_t i);
+  void activate_path(std::size_t i) { window_.activate(i); }
   /// Marks dimension i inactive: samples(i) drops to 0 and every pair
   /// through i stops being ready.  Its entries keep updating with the
   /// pushed filler so a later activate_path(i) needs no state repair.
-  void retire_path(std::size_t i);
+  void retire_path(std::size_t i) { window_.retire(i); }
   /// Appends one dimension (active, zero samples).  The ring history of the
   /// new dimension is zero-filled, which is exactly the state the
   /// incremental updates expect.  Returns the new dimension's index.
   /// Cost: O(dim * (dim + window)) reallocation — churn events are rare.
-  std::size_t add_path();
+  std::size_t add_path() { return add_paths(1); }
   /// Batched growth: appends `count` dimensions at once, state-identical to
   /// `count` add_path() calls but with ONE ring/cross reallocation instead
   /// of `count` — the O(change) path for mass-growth events.  Returns the
   /// first new dimension's index.
   std::size_t add_paths(std::size_t count);
   [[nodiscard]] bool path_active(std::size_t i) const {
-    return churn_.active(i);
+    return window_.active(i);
   }
 
   // CovarianceSource churn override + the derived pair-readiness test
   // (both delegate to the shared stats::PathChurnLedger rule):
-  [[nodiscard]] std::size_t samples(std::size_t i) const override;
-  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const;
+  [[nodiscard]] std::size_t samples(std::size_t i) const override {
+    return window_.samples(i);
+  }
+  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const {
+    return window_.pair_ready(i, j);
+  }
 
   /// Recomputes means and C from the retained window (oldest to newest),
   /// discarding accumulated rounding drift.  Runs automatically on the
@@ -129,33 +114,21 @@ class StreamingMoments final : public CovarianceSource {
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
-  // Serializes the ring, means, cross-products, churn ledger, and cadence
-  // counters — everything except the delta_ scratch and the cov_ cache
-  // (recomputed on demand) — so a restored accumulator continues the exact
-  // push/refresh sequence bit-identically.  restore_state targets an
-  // accumulator constructed with the same dim and window and throws
-  // io::CheckpointError(kMismatch) otherwise; on failure *this is
-  // unchanged.
+  // Serializes the window (ring, means, churn ledger, cadence counters)
+  // and the cross-products — everything except the delta scratch and the
+  // cov_ cache (recomputed on demand) — so a restored accumulator
+  // continues the exact push/refresh sequence bit-identically.
+  // restore_state targets an accumulator constructed with the same dim and
+  // window and throws io::CheckpointError(kMismatch) otherwise; on failure
+  // *this is unchanged.
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
 
  private:
-  void add(std::span<const double> y);
-  void retire(std::span<const double> y);
-  /// cross_ += w * delta_ delta_^T (row-parallel).
+  /// cross_ += w * delta delta^T (row-parallel).
   void rank1(double w);
 
-  std::size_t dim_;
-  StreamingMomentsOptions options_;
-  PathChurnLedger churn_;      // per-dim activation/validity bookkeeping
-  SnapshotMatrix ring_;        // window_ rows; head_ = oldest
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t pushes_ = 0;
-  std::size_t since_refresh_ = 0;
-  std::size_t refreshes_ = 0;
-  linalg::Vector mean_;
-  linalg::Vector delta_;       // scratch for the rank-1 updates
+  SlidingWindow window_;
   linalg::Matrix cross_;       // C, centred cross-products
   mutable linalg::Matrix cov_; // cached S = C / (count-1)
   mutable bool cov_valid_ = false;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/qr.hpp"
+#include "reference_estimator.hpp"
 #include "test_util.hpp"
 
 namespace losstomo::core {
@@ -111,7 +112,7 @@ TEST(AugmentedMatrix, PackedCovariancesAlignWithPairIndex) {
   const auto y = stats::SnapshotMatrix::from_rows(
       {{1.0, 2.0, 0.0}, {0.5, 1.0, 1.0}, {0.0, 0.5, 2.0}, {1.5, 0.0, 0.5}});
   const stats::CenteredSnapshots centered(y);
-  const auto packed = packed_covariances(centered);
+  const auto packed = losstomo::testing::packed_covariances(centered);
   ASSERT_EQ(packed.size(), pair_count(3));
   for (std::size_t i = 0; i < 3; ++i) {
     for (std::size_t j = i; j < 3; ++j) {
@@ -148,7 +149,7 @@ TEST(AugmentedNormal, RhsMatchesExplicitProduct) {
   const stats::CenteredSnapshots centered(y);
 
   const auto a = build_augmented_matrix(rrm.matrix());
-  const auto sigma = packed_covariances(centered);
+  const auto sigma = losstomo::testing::packed_covariances(centered);
   const auto explicit_rhs = a.multiply_transpose(sigma);
   const auto implicit_rhs =
       augmented_normal_rhs(centered, rrm.matrix().column_lists());
@@ -188,7 +189,7 @@ TEST_P(AugmentedNormalProperty, ImplicitEqualsExplicit) {
     for (std::size_t i = 0; i < np; ++i) y.at(l, i) = rng.gaussian();
   }
   const stats::CenteredSnapshots centered(y);
-  const auto explicit_rhs = a.multiply_transpose(packed_covariances(centered));
+  const auto explicit_rhs = a.multiply_transpose(losstomo::testing::packed_covariances(centered));
   const auto implicit_rhs = augmented_normal_rhs(centered, r.column_lists());
   for (std::size_t k = 0; k < nc; ++k) {
     EXPECT_NEAR(implicit_rhs[k], explicit_rhs[k], 1e-10);

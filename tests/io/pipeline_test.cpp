@@ -130,6 +130,29 @@ TEST(Pipeline, MonitorSinkRejectsRawPhi) {
   EXPECT_THROW(sink.push(phi_batch(phi, 1, 2)), std::logic_error);
 }
 
+// LTBT payloads are only CRC-checked, and LogTransform maps NaN to NaN: a
+// NaN written into an otherwise valid trace must surface as the monitor's
+// std::invalid_argument, not as poisoned window statistics.
+TEST(Pipeline, NonFiniteBinaryTraceValueReachesCaller) {
+  const linalg::SparseBinaryMatrix r(2, {{0}, {0, 1}});
+  const auto file = temp_file("nan.bin");
+  {
+    BinaryTraceWriter writer(file, 2);
+    writer.append(std::vector<double>{0.99, 0.97});
+    writer.append(std::vector<double>{0.98, std::nan("")});
+    writer.append(std::vector<double>{0.97, 0.96});
+    writer.finish();
+  }
+  const auto reader = BinaryTraceReader::open(file);  // CRCs verify
+  core::LiaMonitor monitor(r, {.window = 2});
+  BinaryTraceSource source(reader);
+  LogTransform log;
+  MonitorSink sink(monitor);
+  log.to(sink);
+  EXPECT_THROW(source.drain(log), std::invalid_argument);
+  EXPECT_EQ(monitor.ticks(), 0u);
+}
+
 TEST(Pipeline, TextSnapshotSinkRejectsLogStreams) {
   std::ostringstream os;
   TextSnapshotSink sink(os);
