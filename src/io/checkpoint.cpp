@@ -1,10 +1,12 @@
 #include "io/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 
 namespace losstomo::io {
 namespace {
@@ -20,12 +22,53 @@ void append_le(std::vector<std::uint8_t>& out, std::uint64_t v,
   }
 }
 
+// Appends `v` as consecutive little-endian elements.  A little-endian host
+// copies the bytes in one block, so a checkpoint of hundreds of MB costs one
+// pass over its arrays; the buffer grows with a quarter of headroom so the
+// small fields that follow a large array do not force another full copy.
+template <typename T>
+void append_le_array(std::vector<std::uint8_t>& out, std::span<const T> v) {
+  const std::size_t need = out.size() + sizeof(T) * v.size();
+  if (need > out.capacity()) {
+    out.reserve(std::max(need + need / 4, 2 * out.capacity()));
+  }
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(v.data());
+    out.insert(out.end(), bytes, bytes + sizeof(T) * v.size());
+  } else {
+    for (const T x : v) {
+      if constexpr (std::is_floating_point_v<T>) {
+        append_le(out, std::bit_cast<std::uint64_t>(x), sizeof(T));
+      } else {
+        append_le(out, x, sizeof(T));
+      }
+    }
+  }
+}
+
 std::uint64_t read_le(const std::uint8_t* p, std::size_t bytes) {
   std::uint64_t v = 0;
   for (std::size_t b = 0; b < bytes; ++b) {
     v |= static_cast<std::uint64_t>(p[b]) << (8 * b);
   }
   return v;
+}
+
+// Reads `v.size()` consecutive little-endian elements starting at `p`; the
+// caller has bounds-checked them.
+template <typename T>
+void read_le_array(const std::uint8_t* p, std::span<T> v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!v.empty()) std::memcpy(v.data(), p, sizeof(T) * v.size());
+  } else {
+    for (std::size_t i = 0; i < v.size(); ++i, p += sizeof(T)) {
+      if constexpr (std::is_floating_point_v<T>) {
+        v[i] = std::bit_cast<T>(read_le(p, sizeof(T)));
+      } else {
+        v[i] = static_cast<T>(read_le(p, sizeof(T)));
+      }
+    }
+  }
 }
 
 std::uint32_t tag_value(const char* tag) {
@@ -134,29 +177,32 @@ void Crc32::update(std::span<const std::uint8_t> bytes) {
 
 // -- CheckpointWriter -------------------------------------------------------
 
-void CheckpointWriter::u8(std::uint8_t v) { payload_.push_back(v); }
-void CheckpointWriter::u32(std::uint32_t v) { append_le(payload_, v, 4); }
-void CheckpointWriter::u64(std::uint64_t v) { append_le(payload_, v, 8); }
+CheckpointWriter::CheckpointWriter() : image_(kHeaderSize) {}
+
+void CheckpointWriter::u8(std::uint8_t v) { image_.push_back(v); }
+void CheckpointWriter::u32(std::uint32_t v) { append_le(image_, v, 4); }
+void CheckpointWriter::u64(std::uint64_t v) { append_le(image_, v, 8); }
 void CheckpointWriter::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void CheckpointWriter::str(const std::string& s) {
   usize(s.size());
-  payload_.insert(payload_.end(), s.begin(), s.end());
+  image_.insert(image_.end(), s.begin(), s.end());
 }
 
 void CheckpointWriter::doubles(std::span<const double> v) {
+  static_assert(sizeof(double) == 8);
   usize(v.size());
-  for (const double x : v) f64(x);
+  append_le_array(image_, v);
 }
 
 void CheckpointWriter::u8s(std::span<const std::uint8_t> v) {
   usize(v.size());
-  payload_.insert(payload_.end(), v.begin(), v.end());
+  image_.insert(image_.end(), v.begin(), v.end());
 }
 
 void CheckpointWriter::u32s(std::span<const std::uint32_t> v) {
   usize(v.size());
-  for (const std::uint32_t x : v) u32(x);
+  append_le_array(image_, v);
 }
 
 void CheckpointWriter::sizes(std::span<const std::size_t> v) {
@@ -166,7 +212,7 @@ void CheckpointWriter::sizes(std::span<const std::size_t> v) {
 
 void CheckpointWriter::begin_section(const char* tag) {
   u32(tag_value(tag));
-  open_sections_.push_back(payload_.size());
+  open_sections_.push_back(image_.size());
   u64(0);  // size slot, patched by end_section
 }
 
@@ -176,9 +222,9 @@ void CheckpointWriter::end_section() {
   }
   const std::size_t slot = open_sections_.back();
   open_sections_.pop_back();
-  const std::uint64_t size = payload_.size() - (slot + 8);
+  const std::uint64_t size = image_.size() - (slot + 8);
   for (std::size_t b = 0; b < 8; ++b) {
-    payload_[slot + b] = static_cast<std::uint8_t>(size >> (8 * b));
+    image_[slot + b] = static_cast<std::uint8_t>(size >> (8 * b));
   }
 }
 
@@ -190,14 +236,14 @@ std::vector<std::uint8_t> CheckpointWriter::finish() {
     throw std::logic_error("checkpoint finish with an open section");
   }
   finished_ = true;
-  std::vector<std::uint8_t> out;
-  out.reserve(kHeaderSize + payload_.size());
-  out.insert(out.end(), kMagic.begin(), kMagic.end());
-  append_le(out, kVersion, 4);
-  append_le(out, payload_.size(), 8);
-  append_le(out, crc32(payload_), 4);
-  out.insert(out.end(), payload_.begin(), payload_.end());
-  return out;
+  const std::span<const std::uint8_t> payload(image_.data() + kHeaderSize,
+                                              image_.size() - kHeaderSize);
+  std::vector<std::uint8_t> header(kMagic.begin(), kMagic.end());
+  append_le(header, kVersion, 4);
+  append_le(header, payload.size(), 8);
+  append_le(header, crc32(payload), 4);
+  std::copy(header.begin(), header.end(), image_.begin());
+  return std::move(image_);
 }
 
 void CheckpointWriter::save(const std::string& file) {
@@ -347,7 +393,8 @@ std::vector<double> CheckpointReader::doubles() {
                           "double array length exceeds remaining bytes");
   }
   std::vector<double> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = f64();
+  read_le_array(bytes_.data() + cursor_, std::span<double>(v));
+  cursor_ += 8 * n;
   return v;
 }
 
@@ -367,7 +414,8 @@ std::vector<std::uint32_t> CheckpointReader::u32s() {
                           "u32 array length exceeds remaining bytes");
   }
   std::vector<std::uint32_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = u32();
+  read_le_array(bytes_.data() + cursor_, std::span<std::uint32_t>(v));
+  cursor_ += 4 * n;
   return v;
 }
 

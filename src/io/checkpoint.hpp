@@ -90,7 +90,7 @@ class Crc32 {
 /// balanced (every begin_section has an end_section) and may nest.
 class CheckpointWriter {
  public:
-  CheckpointWriter() = default;
+  CheckpointWriter();
 
   void u8(std::uint8_t v);
   void u32(std::uint32_t v);
@@ -117,7 +117,9 @@ class CheckpointWriter {
   static constexpr std::uint32_t kVersion = 6;
 
  private:
-  std::vector<std::uint8_t> payload_;
+  // The file image: a header slot, sealed in place by finish(), then the
+  // payload.
+  std::vector<std::uint8_t> image_;
   std::vector<std::size_t> open_sections_;  // offsets of pending size slots
   bool finished_ = false;
 };

@@ -104,7 +104,7 @@ void StreamingMoments::restore_state(io::CheckpointReader& reader) {
                               "streaming moments state is inconsistent");
   }
   window_ = std::move(parsed);
-  std::copy(cross.begin(), cross.end(), cross_.data().begin());
+  cross_.data() = std::move(cross);  // same dim * dim shape, checked above
   cov_valid_ = false;
 }
 

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -45,6 +46,54 @@ TEST(Checkpoint, PrimitivesRoundTrip) {
   EXPECT_EQ(reader.usize(), 42u);
   EXPECT_EQ(reader.str(), "hello checkpoint");
   EXPECT_EQ(reader.doubles(), (std::vector<double>{1.5, -2.25, 3.125}));
+  reader.end_section();
+  EXPECT_EQ(reader.remaining(), 0u);
+}
+
+TEST(Checkpoint, BulkArraysMatchElementWrites) {
+  // doubles()/u32s() copy whole blocks; the image must equal the one the
+  // element-by-element primitives write, so the format does not depend on
+  // how an array is written.  The large array takes the buffer-growth path
+  // and the fields after it land in the headroom.
+  std::vector<double> big(100000);
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = std::ldexp(static_cast<double>(i) - 0.25,
+                        static_cast<int>(i % 61) - 30);
+  }
+  big[7] = -0.0;
+  big[8] = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::uint32_t> ids = {0u, 1u, 0xdeadbeefu, 0xffffffffu};
+
+  CheckpointWriter bulk;
+  bulk.begin_section("TEST");
+  bulk.u32s(ids);
+  bulk.doubles(big);
+  bulk.u8(3);
+  bulk.doubles(std::vector<double>{});
+  bulk.end_section();
+
+  CheckpointWriter elements;
+  elements.begin_section("TEST");
+  elements.usize(ids.size());
+  for (const std::uint32_t x : ids) elements.u32(x);
+  elements.usize(big.size());
+  for (const double x : big) elements.f64(x);
+  elements.u8(3);
+  elements.usize(0);
+  elements.end_section();
+
+  const auto image = bulk.finish();
+  ASSERT_EQ(image, elements.finish());
+
+  auto reader = CheckpointReader::from_bytes(image);
+  reader.expect_section("TEST");
+  EXPECT_EQ(reader.u32s(), ids);
+  const auto back = reader.doubles();
+  ASSERT_EQ(back.size(), big.size());
+  EXPECT_EQ(
+      std::memcmp(back.data(), big.data(), big.size() * sizeof(double)), 0);
+  EXPECT_EQ(reader.u8(), 3u);
+  EXPECT_TRUE(reader.doubles().empty());
   reader.end_section();
   EXPECT_EQ(reader.remaining(), 0u);
 }
