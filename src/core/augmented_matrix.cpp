@@ -35,13 +35,15 @@ linalg::Matrix build_augmented_matrix(const linalg::SparseBinaryMatrix& r,
   return a;
 }
 
-linalg::Vector packed_covariances(const linalg::Matrix& s) {
-  const std::size_t np = s.rows();
+linalg::Vector packed_covariances(stats::CovarianceView s) {
+  const std::size_t np = s.dim();
   linalg::Vector sigma(pair_count(np), 0.0);
   for (std::size_t i = 0; i < np; ++i) {
-    const auto row = s.row(i);
+    const auto row = s.c.row(i);
     const std::size_t base = pair_index(i, i, np);
-    for (std::size_t j = i; j < np; ++j) sigma[base + (j - i)] = row[j];
+    for (std::size_t j = i; j < np; ++j) {
+      sigma[base + (j - i)] = row[j] * s.scale;
+    }
   }
   return sigma;
 }
@@ -102,8 +104,17 @@ linalg::Vector augmented_normal_rhs(
   return h;
 }
 
+// Each S_ij = c_ij * scale must be rounded to a double before it is
+// summed, exactly as a materialised S entry would be.  GCC contracts a
+// multiply that feeds an add into one FMA by default, across statements
+// too, so contraction is off for this function; Clang contracts only
+// within one expression, which the separate statements below avoid.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC push_options
+#pragma GCC optimize("fp-contract=off")
+#endif
 linalg::Vector augmented_normal_rhs(
-    const linalg::Matrix& s,
+    stats::CovarianceView s,
     const std::vector<std::vector<std::uint32_t>>& column_paths,
     std::size_t threads) {
   const std::size_t nc = column_paths.size();
@@ -118,10 +129,14 @@ linalg::Vector augmented_normal_rhs(
           double full_sum = 0.0;
           double diag = 0.0;
           for (const auto i : paths) {
-            const auto row = s.row(i);
-            diag += row[i];
+            const auto row = s.c.row(i);
+            const double s_ii = row[i] * s.scale;
+            diag += s_ii;
             double acc = 0.0;
-            for (const auto j : paths) acc += row[j];
+            for (const auto j : paths) {
+              const double s_ij = row[j] * s.scale;
+              acc += s_ij;
+            }
             full_sum += acc;
           }
           h[k] = 0.5 * (full_sum + diag);
@@ -130,5 +145,8 @@ linalg::Vector augmented_normal_rhs(
       threads);
   return h;
 }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC pop_options
+#endif
 
 }  // namespace losstomo::core

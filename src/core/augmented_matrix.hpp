@@ -24,6 +24,7 @@
 
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
+#include "stats/covariance_source.hpp"
 #include "stats/moments.hpp"
 
 namespace losstomo::core {
@@ -48,9 +49,9 @@ linalg::Matrix build_augmented_matrix(const linalg::SparseBinaryMatrix& r,
                                       std::size_t threads = 0);
 
 /// Packed vector of sample covariances Sigma*_(i,j) = S(i, j) for all
-/// i <= j, aligned with build_augmented_matrix's rows, from an
-/// already-computed covariance matrix S (stats::covariance_matrix).
-linalg::Vector packed_covariances(const linalg::Matrix& s);
+/// i <= j, aligned with build_augmented_matrix's rows, from a dense view of
+/// S (stats::CovarianceSource::view(), or {stats::covariance_matrix, 1.0}).
+linalg::Vector packed_covariances(stats::CovarianceView s);
 
 /// Implicit normal equations: G = A^T A from the co-traversal Gram matrix,
 /// rows filled in parallel (bit-identical at any thread count).
@@ -67,13 +68,15 @@ linalg::Vector augmented_normal_rhs(
     const std::vector<std::vector<std::uint32_t>>& column_paths,
     std::size_t threads = 0);
 
-/// Same right-hand side evaluated from an already-formed covariance matrix
-/// S (stats::CovarianceSource::matrix()) instead of raw snapshots:
+/// Same right-hand side evaluated from a dense view of S
+/// (stats::CovarianceSource::view()) instead of raw snapshots:
 ///   h_k = 1/2 [ sum_{i,j in S_k} S_ij + sum_{i in S_k} S_ii ].
 /// This is the per-tick form the streaming engine uses: its cost depends
-/// only on the sharing structure, never on the window length.
+/// only on the sharing structure, never on the window length.  Each S_ij
+/// is rounded to a double before it is summed, so h is bit-identical to
+/// the same sums over a materialised S.
 linalg::Vector augmented_normal_rhs(
-    const linalg::Matrix& s,
+    stats::CovarianceView s,
     const std::vector<std::vector<std::uint32_t>>& column_paths,
     std::size_t threads = 0);
 

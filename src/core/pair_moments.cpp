@@ -22,15 +22,21 @@ PairMoments::PairMoments(std::shared_ptr<const SharingPairStore> store,
   }
 }
 
-void PairMoments::rank1(double w) {
-  const auto& delta = window_.delta();
+void PairMoments::fold(double wr, double wa) {
+  const auto& dr = window_.retire_delta();
+  const auto& da = window_.add_delta();
   util::parallel_for(
       values_.size(), kPairGrain,
       [&](std::size_t begin, std::size_t end) {
+        // Retire term, then add term: the arithmetic of a retire pass
+        // followed by an add pass, in one.
         store_->for_pairs(begin, end,
                           [&](std::size_t p, std::uint32_t i, std::uint32_t j,
                               std::span<const std::uint32_t>) {
-                            values_[p] += w * delta[i] * delta[j];
+                            double v = values_[p];
+                            if (wr != 0.0) v += wr * dr[i] * dr[j];
+                            v += wa * da[i] * da[j];
+                            values_[p] = v;
                           });
       },
       window_.threads());
@@ -46,7 +52,8 @@ void PairMoments::push_block(std::span<const double> values,
   if (values_.size() != store_->pair_count()) {
     throw std::logic_error("pair store grew without PairMoments::add_path");
   }
-  window_.push_block(values, rows, [this](double w) { rank1(w); },
+  window_.push_block(values, rows,
+                     [this](double wr, double wa) { fold(wr, wa); },
                      [this] { refresh(); });
 }
 
@@ -120,7 +127,7 @@ double PairMoments::covariance(std::size_t i, std::size_t j) const {
   return pair_covariance(p);
 }
 
-const linalg::Matrix& PairMoments::matrix() const {
+stats::CovarianceView PairMoments::view() const {
   throw std::logic_error(
       "PairMoments maintains only sharing-pair covariances; use the dense "
       "StreamingMoments accumulator where the full S is required");

@@ -11,10 +11,10 @@
 //
 // Ring, means, Youngs–Cramer sequencing, refresh cadence and churn ledger
 // are the shared stats::SlidingWindow that StreamingMoments runs on too;
-// this class only adds the per-pair cross-products, their rank-1 and
+// this class only adds the per-pair cross-products, their fold and
 // exact-refresh kernels, and the pair reads.  The two accumulators
 // therefore agree to floating-point drift on every stored pair.  The full
-// covariance matrix is deliberately NOT available — matrix() throws —
+// covariance matrix is deliberately NOT available — view() throws —
 // which is why this source only powers the drop-negative policy;
 // keep-all's closed-form rhs needs the dense S and stays on
 // StreamingMoments.
@@ -51,9 +51,9 @@ class PairMoments final : public stats::CovarianceSource {
               stats::StreamingMomentsOptions options);
 
   /// Folds one snapshot (size dim()) into the window; retires the oldest
-  /// when full.  Cost: O(dim + pair_count()) — two rank-1 passes over the
-  /// stored pairs — plus the amortized O(window * pairs / refresh_every)
-  /// drift refresh.
+  /// when full.  Cost: O(dim + pair_count()) — one pass over the stored
+  /// pairs folding the retire and add terms — plus the amortized
+  /// O(window * pairs / refresh_every) drift refresh.
   void push(std::span<const double> y);
 
   /// Batched ingestion entry point: folds `rows` consecutive snapshots
@@ -74,8 +74,8 @@ class PairMoments final : public stats::CovarianceSource {
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
   /// Unsupported: the full S is exactly what this accumulator avoids.
   /// Throws std::logic_error.
-  [[nodiscard]] const linalg::Matrix& matrix() const override;
-  [[nodiscard]] bool matrix_is_cheap() const override { return false; }
+  [[nodiscard]] stats::CovarianceView view() const override;
+  [[nodiscard]] bool view_is_cheap() const override { return false; }
   [[nodiscard]] std::size_t samples(std::size_t i) const override {
     return window_.samples(i);
   }
@@ -129,9 +129,10 @@ class PairMoments final : public stats::CovarianceSource {
   void restore_state(io::CheckpointReader& reader);
 
  private:
-  /// values_[p] += w * delta_i delta_j over every stored pair (parallel,
-  /// disjoint writes — bit-identical at any thread count).
-  void rank1(double w);
+  /// values_[p] += wr * dr_i dr_j + wa * da_i da_j over every stored pair
+  /// in one pass (SlidingWindow's fold kernel; wr == 0 adds only).
+  /// Parallel, disjoint writes — bit-identical at any thread count.
+  void fold(double wr, double wa);
 
   std::shared_ptr<const SharingPairStore> store_;
   stats::SlidingWindow window_;

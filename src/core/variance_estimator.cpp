@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -113,8 +114,9 @@ NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
   const SharingEstimate sharing = estimate_sharing(r);
   // The full matrix pays off once a meaningful fraction of pairs would
   // otherwise run the O(m) scalar loop — or comes for free from the source.
-  const bool use_matrix = sharing.fraction >= 0.125 || y.matrix_is_cheap();
-  const linalg::Matrix* s = use_matrix ? &y.matrix() : nullptr;
+  const bool use_matrix = sharing.fraction >= 0.125 || y.view_is_cheap();
+  const std::optional<stats::CovarianceView> s =
+      use_matrix ? std::optional(y.view()) : std::nullopt;
   const std::span<const double> flat = use_matrix ? std::span<const double>{}
                                                   : y.centered_flat();
 
@@ -157,7 +159,7 @@ NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
           if (shared.empty()) return;
           double cov;
           if (use_matrix) {
-            cov = si[j];
+            cov = si[j] * s->scale;
           } else if (!flat.empty()) {
             // On-demand covariance, identical to the scalar reference.
             cov = 0.0;
@@ -182,7 +184,7 @@ NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
         };
         for (std::size_t i = i_begin; i < i_end; ++i) {
           if (use_matrix) {
-            const double* si = s->row(i).data();
+            const double* si = s->c.row(i).data();
             for (std::size_t j = i; j < np; ++j) accumulate(i, j, si);
           } else {
             finder->partners_of(i, partners);
@@ -445,7 +447,7 @@ NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
   NormalEquations sys;
   const linalg::CoTraversalGram gram(r);
   sys.g = augmented_normal_matrix(gram, options.threads);
-  sys.h = augmented_normal_rhs(source.matrix(), r.column_lists(),
+  sys.h = augmented_normal_rhs(source.view(), r.column_lists(),
                                options.threads);
   sys.used = pair_count(r.rows());
   return sys;
@@ -469,7 +471,7 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 
   if (method == VarianceMethod::kDenseQr) {
     const auto s = stats::covariance_matrix(centered, options.threads);
-    return dense_qr_estimate(r, packed_covariances(s), drop_negative,
+    return dense_qr_estimate(r, packed_covariances({s, 1.0}), drop_negative,
                              options);
   }
 
@@ -492,7 +494,7 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
   const bool drop_negative = resolve_negative_policy(options, r.rows());
 
   if (method == VarianceMethod::kDenseQr) {
-    return dense_qr_estimate(r, packed_covariances(source.matrix()),
+    return dense_qr_estimate(r, packed_covariances(source.view()),
                              drop_negative, options);
   }
   return solve_normal_system(build_normal_equations(r, source, options), method,
@@ -818,7 +820,7 @@ const NormalEquations& StreamingNormalEquations::refresh(
 
   if (!drop_negative_) {
     sys_.h =
-        augmented_normal_rhs(source.matrix(), column_paths_, options_.threads);
+        augmented_normal_rhs(source.view(), column_paths_, options_.threads);
     return sys_;
   }
 
@@ -826,12 +828,13 @@ const NormalEquations& StreamingNormalEquations::refresh(
 
   // Aligned pair-indexed source (core::PairMoments on this very store):
   // each pair's covariance is an O(1) array read — no np x np matrix
-  // anywhere in the tick.  Every other source serves the dense S.
+  // anywhere in the tick.  Every other source serves the dense view.
   const auto* pair_source = dynamic_cast<const PairMoments*>(&source);
   if (pair_source && pair_source->store() != pairs_.get()) {
     pair_source = nullptr;
   }
-  const linalg::Matrix* s = pair_source ? nullptr : &source.matrix();
+  const std::optional<stats::CovarianceView> s =
+      pair_source ? std::nullopt : std::optional(source.view());
   const std::span<const double> pair_values =
       pair_source ? pair_source->pair_values() : std::span<const double>{};
   // cov = values[p] / (count - 1): dividing here keeps the arithmetic
@@ -871,6 +874,8 @@ const NormalEquations& StreamingNormalEquations::refresh(
                 if (pair_kept_[p]) part.flips.push_back(p);
                 return;
               }
+              // A view entry is compared before it is summed, so it is
+              // rounded exactly as a materialised S entry would be.
               const double cov =
                   pair_source ? pair_values[p] / pair_denom : (*s)(i, j);
               const bool kept = !(cov < 0.0);

@@ -36,9 +36,9 @@ BatchCovarianceSource::BatchCovarianceSource(const CenteredSnapshots& centered,
                                              std::size_t threads)
     : centered_(&centered), threads_(threads) {}
 
-const linalg::Matrix& BatchCovarianceSource::matrix() const {
+CovarianceView BatchCovarianceSource::view() const {
   if (!cached_) cached_ = covariance_matrix(*centered_, threads_);
-  return *cached_;
+  return {*cached_, 1.0};
 }
 
 }  // namespace losstomo::stats

@@ -13,8 +13,14 @@
 //    materialises the full covariance matrix S lazily via the blocked SYRK
 //    kernel when a consumer asks for it;
 //  * stats::StreamingMoments (streaming.hpp) — a sliding-window accumulator
-//    that maintains S under O(np^2) rank-1 add/retire updates, so a
-//    monitoring loop never pays the O(m np^2) batch recomputation.
+//    that maintains the cross-products C = (n-1) S under O(np^2) add/retire
+//    sweeps, so a monitoring loop never pays the O(m np^2) batch
+//    recomputation.
+//
+// Dense consumers read S through a CovarianceView {c, scale}: S_ij =
+// c(i, j) * scale.  The batch source hands out its materialised S with
+// scale 1.0 (exact); the streaming one hands out C with scale 1/(n-1),
+// so no second np x np buffer ever holds S.
 #pragma once
 
 #include <algorithm>
@@ -34,12 +40,28 @@ class CheckpointReader;
 
 namespace losstomo::stats {
 
+/// Dense read access to a covariance matrix S stored as a scaled matrix:
+/// S_ij = c(i, j) * scale.  Consumers that sum entries must round each
+/// product to a double before adding it (compare it first, or compile the
+/// sum without FP contraction, as core::augmented_normal_rhs does): a
+/// compiler that fuses c * scale into the sum as one FMA would change the
+/// bits relative to summing a materialised S.
+struct CovarianceView {
+  const linalg::Matrix& c;
+  double scale;
+
+  [[nodiscard]] std::size_t dim() const { return c.rows(); }
+  [[nodiscard]] double operator()(std::size_t i, std::size_t j) const {
+    return c(i, j) * scale;
+  }
+};
+
 /// Abstract supplier of the unbiased sample covariance of an np-dimensional
 /// observation vector (paper eq. (7)).
 ///
 /// Thread-safety contract for implementations: all methods here are
 /// logically const reads and must be safe to call concurrently *after*
-/// matrix() has been materialised once; mutating operations (e.g.
+/// view() has been called once; mutating operations (e.g.
 /// StreamingMoments::push) are single-writer and must not overlap reads.
 class CovarianceSource {
  public:
@@ -54,14 +76,15 @@ class CovarianceSource {
   /// count() >= 2.
   [[nodiscard]] virtual double covariance(std::size_t i, std::size_t j) const = 0;
 
-  /// Full dim() x dim() covariance matrix S.  Implementations cache the
-  /// result, but the first call may be expensive (see matrix_is_cheap).
-  [[nodiscard]] virtual const linalg::Matrix& matrix() const = 0;
+  /// Dense view of the full dim() x dim() covariance matrix S.  The first
+  /// call may be expensive (see view_is_cheap); sources that cannot serve
+  /// the dense S throw std::logic_error.
+  [[nodiscard]] virtual CovarianceView view() const = 0;
 
-  /// True when matrix() is available without significant computation
-  /// (streaming accumulators maintain S; batch sources compute it lazily).
-  /// Consumers use this to pick between matrix reads and covariance().
-  [[nodiscard]] virtual bool matrix_is_cheap() const = 0;
+  /// True when view() is available without significant computation
+  /// (streaming accumulators maintain C; batch sources compute S lazily).
+  /// Consumers use this to pick between view reads and covariance().
+  [[nodiscard]] virtual bool view_is_cheap() const = 0;
 
   /// Optional fast path: row-major centred samples (count() rows of dim()
   /// entries) when the implementation stores them; empty otherwise.
@@ -152,7 +175,7 @@ class PathChurnLedger {
 class BatchCovarianceSource final : public CovarianceSource {
  public:
   /// Centres `y` and owns the result.  `threads` caps the blocked SYRK
-  /// worker count when matrix() is materialised (0 = library default).
+  /// worker count when view() materialises S (0 = library default).
   explicit BatchCovarianceSource(const SnapshotMatrix& y,
                                  std::size_t threads = 0);
   /// Non-owning view over already-centred snapshots; `centered` must
@@ -172,8 +195,9 @@ class BatchCovarianceSource final : public CovarianceSource {
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override {
     return centered_->covariance(i, j);
   }
-  [[nodiscard]] const linalg::Matrix& matrix() const override;
-  [[nodiscard]] bool matrix_is_cheap() const override {
+  /// {S, 1.0}, S built by the blocked SYRK kernel on first use.
+  [[nodiscard]] CovarianceView view() const override;
+  [[nodiscard]] bool view_is_cheap() const override {
     return cached_.has_value();
   }
   [[nodiscard]] std::span<const double> centered_flat() const override {

@@ -12,22 +12,20 @@ SlidingWindow::SlidingWindow(std::size_t dim, StreamingMomentsOptions options)
       churn_(dim),
       ring_(dim, options.window),
       mean_(dim, 0.0),
-      delta_(dim, 0.0) {
+      retire_delta_(dim, 0.0),
+      add_delta_(dim, 0.0) {
   if (options_.window < 2) throw std::invalid_argument("window must be >= 2");
   if (options_.refresh_every == 0) {
     options_.refresh_every = 2 * options_.window;
   }
 }
 
-void SlidingWindow::set_delta(std::span<const double> y) {
-  for (std::size_t i = 0; i < dim_; ++i) delta_[i] = y[i] - mean_[i];
-}
-
 double SlidingWindow::retire_oldest() {
   const double n = static_cast<double>(count_);
-  set_delta(ring_.sample(head_));
+  const auto y = ring_.sample(head_);
+  for (std::size_t i = 0; i < dim_; ++i) retire_delta_[i] = y[i] - mean_[i];
   const double n1 = n - 1.0;
-  for (std::size_t i = 0; i < dim_; ++i) mean_[i] -= delta_[i] / n1;
+  for (std::size_t i = 0; i < dim_; ++i) mean_[i] -= retire_delta_[i] / n1;
   --count_;
   head_ = (head_ + 1) % options_.window;
   return -n / n1;
@@ -37,8 +35,8 @@ double SlidingWindow::add(std::span<const double> y) {
   std::copy(y.begin(), y.end(),
             ring_.sample((head_ + count_) % options_.window).begin());
   const double n1 = static_cast<double>(count_ + 1);
-  set_delta(y);
-  for (std::size_t i = 0; i < dim_; ++i) mean_[i] += delta_[i] / n1;
+  for (std::size_t i = 0; i < dim_; ++i) add_delta_[i] = y[i] - mean_[i];
+  for (std::size_t i = 0; i < dim_; ++i) mean_[i] += add_delta_[i] / n1;
   const double w = static_cast<double>(count_) / n1;
   ++count_;
   ++pushes_;
@@ -80,7 +78,8 @@ std::size_t SlidingWindow::grow(std::size_t count) {
   }
   ring_ = std::move(ring);
   mean_.resize(next, 0.0);
-  delta_.resize(next, 0.0);
+  retire_delta_.resize(next, 0.0);
+  add_delta_.resize(next, 0.0);
   for (std::size_t k = 0; k < count; ++k) churn_.add_dim(pushes_);
   dim_ = next;
   return index;

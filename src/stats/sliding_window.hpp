@@ -7,16 +7,21 @@
 // last `window` snapshots, the running means, the Youngs–Cramer
 // sequencing, the drift-refresh cadence and the per-path churn ledger.
 //
-//   add y:     delta = y - mean;  mean += delta / n;
-//              C += ((n-1)/n) * delta delta^T
-//   retire y:  delta = y - mean;  mean -= delta / (n-1);
-//              C -= (n/(n-1))  * delta delta^T
+//   retire y_old:  dr = y_old - mean;  mean -= dr / (n-1);
+//                  wr = -n/(n-1)
+//   add y:         da = y - mean;      mean += da / n;
+//                  wa = (n-1)/n
+//   fold:          C += wr * dr dr^T + wa * da da^T
 //
-// The window keeps `delta` and the means; the owner supplies the two
-// kernels that touch C — `rank1(w)` (C += w * delta delta^T, called once
-// per add/retire) and `refresh()` (the periodic exact recompute, which
-// starts with refresh_means()).  The kernels are template arguments, so a
-// push costs no indirect call.
+// The means never depend on C, so a push settles both deltas and weights
+// first and then hands the owner one kernel call, `fold(wr, wa)`, that
+// applies both rank-1 terms in a single sweep over C.  Per entry the fold
+// performs exactly the two updates of a retire pass followed by an add
+// pass, in that order, so it is bit-identical to them.  wr == 0.0 means
+// the push retired nothing (warm-up): the kernel applies the add term only
+// and must not read retire_delta().  The second kernel, `refresh()`, is
+// the periodic exact recompute and starts with refresh_means().  Both are
+// template arguments, so a push costs no indirect call.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +40,7 @@ struct StreamingMomentsOptions {
   std::size_t window = 50;
   /// Full recompute cadence in pushes (drift bound); 0 = 2 * window.
   std::size_t refresh_every = 0;
-  /// Worker threads for the rank-1 updates and the refresh
+  /// Worker threads for the cross-product fold and the refresh
   /// (0 = library default).  Results are bit-identical at any count.
   std::size_t threads = 0;
 };
@@ -46,26 +51,27 @@ class SlidingWindow {
   SlidingWindow(std::size_t dim, StreamingMomentsOptions options);
 
   /// Folds y (size dim(), else std::invalid_argument) into the window,
-  /// retiring the oldest snapshot first when it is full; calls rank1(w)
-  /// once per retire/add and refresh() when the cadence is due.
-  template <typename Rank1, typename Refresh>
-  void push(std::span<const double> y, Rank1&& rank1, Refresh&& refresh) {
+  /// retiring the oldest snapshot first when it is full; calls
+  /// fold(wr, wa) once (not at all for the first snapshot, which has no
+  /// cross-product) and refresh() when the cadence is due.
+  template <typename Fold, typename Refresh>
+  void push(std::span<const double> y, Fold&& fold, Refresh&& refresh) {
     if (y.size() != dim_) throw std::invalid_argument("snapshot size != dim");
-    if (count_ == options_.window) rank1(retire_oldest());
-    if (const double w = add(y); count_ > 1) rank1(w);
+    const double wr = count_ == options_.window ? retire_oldest() : 0.0;
+    if (const double wa = add(y); count_ > 1) fold(wr, wa);
     if (++since_refresh_ >= options_.refresh_every) refresh();
   }
 
   /// push() over `rows` consecutive rows of a row-major block of
   /// rows * dim() doubles; bit-identical to the per-row loop.
-  template <typename Rank1, typename Refresh>
+  template <typename Fold, typename Refresh>
   void push_block(std::span<const double> values, std::size_t rows,
-                  Rank1&& rank1, Refresh&& refresh) {
+                  Fold&& fold, Refresh&& refresh) {
     if (values.size() != rows * dim_) {
       throw std::invalid_argument("push_block size != rows * dim");
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      push(values.subspan(r * dim_, dim_), rank1, refresh);
+      push(values.subspan(r * dim_, dim_), fold, refresh);
     }
   }
 
@@ -101,11 +107,16 @@ class SlidingWindow {
   [[nodiscard]] std::size_t pushes() const { return pushes_; }
   [[nodiscard]] std::size_t refreshes() const { return refreshes_; }
   [[nodiscard]] const linalg::Vector& means() const { return mean_; }
-  /// y - mean of the snapshot the last rank1 call folded in or out.
-  [[nodiscard]] const linalg::Vector& delta() const { return delta_; }
+  /// y_old - mean of the snapshot the last push retired (valid inside
+  /// fold only when wr != 0).
+  [[nodiscard]] const linalg::Vector& retire_delta() const {
+    return retire_delta_;
+  }
+  /// y - mean of the snapshot the last push added.
+  [[nodiscard]] const linalg::Vector& add_delta() const { return add_delta_; }
 
   /// Writes the churn ledger, ring, cursors, cadence counters and means
-  /// (not the delta scratch) — the part of an accumulator section both
+  /// (not the delta scratches) — the part of an accumulator section both
   /// accumulators share.
   void save_state(io::CheckpointWriter& writer) const;
   /// Parses what save_state wrote into a new window of this one's shape,
@@ -117,7 +128,6 @@ class SlidingWindow {
  private:
   double retire_oldest();
   double add(std::span<const double> y);
-  void set_delta(std::span<const double> y);
 
   std::size_t dim_;
   StreamingMomentsOptions options_;
@@ -129,7 +139,8 @@ class SlidingWindow {
   std::size_t since_refresh_ = 0;
   std::size_t refreshes_ = 0;
   linalg::Vector mean_;
-  linalg::Vector delta_;
+  linalg::Vector retire_delta_;
+  linalg::Vector add_delta_;
 };
 
 }  // namespace losstomo::stats

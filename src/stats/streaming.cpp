@@ -12,7 +12,7 @@ namespace losstomo::stats {
 
 StreamingMoments::StreamingMoments(std::size_t dim,
                                    StreamingMomentsOptions options)
-    : window_(dim, options), cross_(dim, dim), cov_(dim, dim) {}
+    : window_(dim, options), cross_(dim, dim) {}
 
 std::size_t StreamingMoments::add_paths(std::size_t count) {
   const std::size_t dim = window_.dim();
@@ -24,41 +24,53 @@ std::size_t StreamingMoments::add_paths(std::size_t count) {
     std::copy(src.begin(), src.end(), cross.row(i).begin());
   }
   cross_ = std::move(cross);
-  cov_ = linalg::Matrix(next, next);
-  cov_valid_ = false;
   return index;
 }
 
-void StreamingMoments::rank1(double w) {
+void StreamingMoments::fold(double wr, double wa) {
   const std::size_t dim = window_.dim();
-  const auto& delta = window_.delta();
+  const auto& dr = window_.retire_delta();
+  const auto& da = window_.add_delta();
+  // One sweep over C.  Each entry takes the retire term, then the add term,
+  // and a row skips a term whose row weight is zero: the same operations,
+  // in the same order, as a retire pass followed by an add pass.
   util::parallel_for(
       dim, 64,
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          const double wi = w * delta[i];
-          if (wi == 0.0) continue;
+          const double wri = wr == 0.0 ? 0.0 : wr * dr[i];
+          const double wai = wa * da[i];
           auto row = cross_.row(i);
-          for (std::size_t j = 0; j < dim; ++j) row[j] += wi * delta[j];
+          if (wri != 0.0 && wai != 0.0) {
+            for (std::size_t j = 0; j < dim; ++j) {
+              double v = row[j];
+              v += wri * dr[j];
+              v += wai * da[j];
+              row[j] = v;
+            }
+          } else if (wri != 0.0) {
+            for (std::size_t j = 0; j < dim; ++j) row[j] += wri * dr[j];
+          } else if (wai != 0.0) {
+            for (std::size_t j = 0; j < dim; ++j) row[j] += wai * da[j];
+          }
         }
       },
       window_.threads());
 }
 
 void StreamingMoments::push(std::span<const double> y) {
-  window_.push(y, [this](double w) { rank1(w); }, [this] { refresh(); });
-  cov_valid_ = false;
+  window_.push(y, [this](double wr, double wa) { fold(wr, wa); },
+               [this] { refresh(); });
 }
 
 void StreamingMoments::push_block(std::span<const double> values,
                                   std::size_t rows) {
-  window_.push_block(values, rows, [this](double w) { rank1(w); },
+  window_.push_block(values, rows,
+                     [this](double wr, double wa) { fold(wr, wa); },
                      [this] { refresh(); });
-  cov_valid_ = false;
 }
 
 void StreamingMoments::refresh() {
-  cov_valid_ = false;
   if (!window_.refresh_means()) return;
   const std::size_t dim = window_.dim();
   const std::size_t count = window_.count();
@@ -105,32 +117,15 @@ void StreamingMoments::restore_state(io::CheckpointReader& reader) {
   }
   window_ = std::move(parsed);
   cross_.data() = std::move(cross);  // same dim * dim shape, checked above
-  cov_valid_ = false;
 }
 
 double StreamingMoments::covariance(std::size_t i, std::size_t j) const {
-  if (count() < 2) throw std::logic_error("covariance needs >= 2 snapshots");
-  return cross_(i, j) / static_cast<double>(count() - 1);
+  return view()(i, j);
 }
 
-const linalg::Matrix& StreamingMoments::matrix() const {
+CovarianceView StreamingMoments::view() const {
   if (count() < 2) throw std::logic_error("covariance needs >= 2 snapshots");
-  if (!cov_valid_) {
-    const std::size_t dim = window_.dim();
-    const double inv = 1.0 / static_cast<double>(count() - 1);
-    const auto& src = cross_.data();
-    auto& dst = cov_.data();
-    util::parallel_for(
-        dim, 64,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t idx = begin * dim; idx < end * dim; ++idx) {
-            dst[idx] = src[idx] * inv;
-          }
-        },
-        window_.threads());
-    cov_valid_ = true;
-  }
-  return cov_;
+  return {cross_, 1.0 / static_cast<double>(count() - 1)};
 }
 
 }  // namespace losstomo::stats

@@ -6,9 +6,13 @@
 // costs O(window * np^2); this accumulator keeps the full centred
 // cross-product matrix C = sum_l (y_l - mean)(y_l - mean)^T current under
 // the Youngs–Cramer add/retire updates of stats::SlidingWindow (ring,
-// means, cadence, churn ledger — shared with core::PairMoments), so a
-// steady-state tick is two symmetric rank-1 updates, O(np^2) independent
-// of the window length, and S = C / (n-1) is always available.
+// means, cadence, churn ledger — shared with core::PairMoments).  A
+// steady-state tick is one sweep over C that folds in both rank-1 terms
+// (retire the oldest snapshot, add the new one), O(np^2) independent of
+// the window length.
+//
+// S is never stored: view() hands out C with the scale 1/(n-1), and every
+// consumer reads S_ij as C_ij * (1/(n-1)) — the only np x np buffer is C.
 //
 // Floating-point drift from the incremental updates is bounded by a
 // deterministic periodic full refresh: every `refresh_every` pushes the
@@ -33,10 +37,10 @@ class StreamingMoments final : public CovarianceSource {
 
   /// Folds one snapshot into the window; retires the oldest snapshot
   /// first when the window is full.  Precondition: y.size() == dim()
-  /// (throws std::invalid_argument).  Cost: O(dim^2) — two symmetric
-  /// rank-1 updates in the steady state — plus the amortized
-  /// O(window * dim^2 / refresh_every) drift refresh.  Single-writer:
-  /// do not overlap push() with reads of matrix()/covariance().
+  /// (throws std::invalid_argument).  Cost: O(dim^2) — one sweep over C
+  /// folding the retire and add terms in the steady state — plus the
+  /// amortized O(window * dim^2 / refresh_every) drift refresh.
+  /// Single-writer: do not overlap push() with reads of view()/covariance().
   void push(std::span<const double> y);
 
   /// Folds `rows` consecutive snapshots from a contiguous row-major block
@@ -45,16 +49,19 @@ class StreamingMoments final : public CovarianceSource {
   /// overhead).  State-identical and bit-identical to the per-row push()
   /// loop: the Youngs–Cramer recurrences are inherently sequential per
   /// snapshot, so the block form hoists validation and keeps the
-  /// per-snapshot arithmetic (whose rank-1 inner loops are already
-  /// util::parallel row-chunked) unchanged.
+  /// per-snapshot arithmetic (whose fold is already util::parallel
+  /// row-chunked) unchanged.
   void push_block(std::span<const double> values, std::size_t rows);
 
   // CovarianceSource:
   [[nodiscard]] std::size_t dim() const override { return window_.dim(); }
   [[nodiscard]] std::size_t count() const override { return window_.count(); }
+  /// C_ij * (1/(n-1)): the same product view() consumers read.
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
-  [[nodiscard]] const linalg::Matrix& matrix() const override;
-  [[nodiscard]] bool matrix_is_cheap() const override { return true; }
+  /// {C, 1/(n-1)}; throws std::logic_error below 2 snapshots.  The view
+  /// refers to C and is invalidated by the next push/refresh/add_paths.
+  [[nodiscard]] CovarianceView view() const override;
+  [[nodiscard]] bool view_is_cheap() const override { return true; }
 
   [[nodiscard]] std::size_t window() const { return window_.window(); }
   [[nodiscard]] bool full() const { return count() == window(); }
@@ -115,9 +122,9 @@ class StreamingMoments final : public CovarianceSource {
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // Serializes the window (ring, means, churn ledger, cadence counters)
-  // and the cross-products — everything except the delta scratch and the
-  // cov_ cache (recomputed on demand) — so a restored accumulator
-  // continues the exact push/refresh sequence bit-identically.
+  // and the cross-products — everything except the delta scratches — so a
+  // restored accumulator continues the exact push/refresh sequence
+  // bit-identically.
   // restore_state targets an accumulator constructed with the same dim and
   // window and throws io::CheckpointError(kMismatch) otherwise; on failure
   // *this is unchanged.
@@ -125,13 +132,12 @@ class StreamingMoments final : public CovarianceSource {
   void restore_state(io::CheckpointReader& reader);
 
  private:
-  /// cross_ += w * delta delta^T (row-parallel).
-  void rank1(double w);
+  /// cross_ += wr * dr dr^T + wa * da da^T in one row-parallel sweep
+  /// (SlidingWindow's fold kernel; wr == 0 adds only).
+  void fold(double wr, double wa);
 
   SlidingWindow window_;
-  linalg::Matrix cross_;       // C, centred cross-products
-  mutable linalg::Matrix cov_; // cached S = C / (count-1)
-  mutable bool cov_valid_ = false;
+  linalg::Matrix cross_;  // C, centred cross-products
 };
 
 }  // namespace losstomo::stats

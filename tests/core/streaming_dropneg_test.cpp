@@ -35,8 +35,10 @@ class ScriptedSource final : public stats::CovarianceSource {
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override {
     return s_(i, j);
   }
-  [[nodiscard]] const linalg::Matrix& matrix() const override { return s_; }
-  [[nodiscard]] bool matrix_is_cheap() const override { return true; }
+  [[nodiscard]] stats::CovarianceView view() const override {
+    return {s_, 1.0};
+  }
+  [[nodiscard]] bool view_is_cheap() const override { return true; }
 
  private:
   linalg::Matrix s_;

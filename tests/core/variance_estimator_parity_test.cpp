@@ -93,7 +93,7 @@ TEST(VarianceEstimatorParity, BlockedMatchesScalarReferenceEverywhere) {
     const auto reference_sigma =
         losstomo::testing::packed_covariances(centered);
     const auto sigma =
-        packed_covariances(stats::covariance_matrix(centered, threads));
+        packed_covariances({stats::covariance_matrix(centered, threads), 1.0});
     ASSERT_EQ(sigma.size(), reference_sigma.size()) << name;
     EXPECT_LE(linalg::max_abs_diff(sigma, reference_sigma), 1e-12) << name;
     for (std::size_t row = 0; row < sigma.size(); ++row) {

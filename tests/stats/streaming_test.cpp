@@ -48,6 +48,10 @@ double max_matrix_diff(const linalg::Matrix& a, const linalg::Matrix& b) {
   return linalg::max_abs_diff(a.data(), b.data());
 }
 
+linalg::Matrix covariance_of(const StreamingMoments& acc) {
+  return losstomo::testing::materialize(acc.view());
+}
+
 // Satellite: parity against the batch covariance to <= 1e-10 after >= 3
 // window wrap-arounds, at 1/2/8 threads, including the drift-refresh
 // boundary (refresh_every deliberately not aligned with the window).
@@ -65,7 +69,7 @@ TEST(StreamingMoments, TracksBatchCovarianceThroughWrapArounds) {
       reference.emplace_back(y);
       if (reference.size() > window) reference.pop_front();
       if (acc.count() < 2) continue;
-      const double diff = max_matrix_diff(acc.matrix(), batch_covariance(reference));
+      const double diff = max_matrix_diff(covariance_of(acc), batch_covariance(reference));
       EXPECT_LE(diff, 1e-10) << "threads=" << threads
                              << " push=" << acc.pushes()
                              << " refreshed=" << (acc.refreshes() > refreshes_before);
@@ -84,7 +88,7 @@ TEST(StreamingMoments, BitIdenticalAtAnyThreadCount) {
   for (const std::size_t threads : {1u, 2u, 8u}) {
     StreamingMoments acc(kDim, {.window = window, .threads = threads});
     for (const auto& y : stream) acc.push(y);
-    results.push_back(acc.matrix());
+    results.push_back(covariance_of(acc));
     means.push_back(acc.means());
   }
   for (std::size_t t = 1; t < results.size(); ++t) {
@@ -98,9 +102,9 @@ TEST(StreamingMoments, ManualRefreshDiscardsDriftOnly) {
   const auto stream = make_stream(3 * window, 503);
   StreamingMoments acc(kDim, {.window = window, .refresh_every = 1000});
   for (const auto& y : stream) acc.push(y);
-  const linalg::Matrix drifted = acc.matrix();
+  const linalg::Matrix drifted = covariance_of(acc);
   acc.refresh();
-  EXPECT_LE(max_matrix_diff(drifted, acc.matrix()), 1e-12);
+  EXPECT_LE(max_matrix_diff(drifted, covariance_of(acc)), 1e-12);
 }
 
 TEST(StreamingMoments, MeansMatchWindowAverages) {
@@ -121,18 +125,28 @@ TEST(StreamingMoments, MeansMatchWindowAverages) {
   }
 }
 
+// covariance(i, j) and the dense view agree to the last bit — both are
+// C_ij * (1/(n-1)) — through warm-up, wrap-around and a drift refresh.
 TEST(StreamingMoments, CovarianceEntriesMatchMatrix) {
   const std::size_t window = 8;
-  const auto stream = make_stream(window + 2, 505);
-  StreamingMoments acc(kDim, {.window = window});
-  for (const auto& y : stream) acc.push(y);
-  const auto& s = acc.matrix();
-  for (std::size_t i = 0; i < kDim; ++i) {
-    for (std::size_t j = 0; j < kDim; ++j) {
-      EXPECT_DOUBLE_EQ(acc.covariance(i, j), s(i, j));
+  const auto stream = make_stream(3 * window + 2, 505);
+  StreamingMoments acc(kDim, {.window = window, .refresh_every = window + 3});
+  for (const auto& y : stream) {
+    acc.push(y);
+    if (acc.count() < 2) continue;
+    const auto view = acc.view();
+    EXPECT_EQ(view.scale, 1.0 / static_cast<double>(acc.count() - 1));
+    const auto s = losstomo::testing::materialize(view);
+    for (std::size_t i = 0; i < kDim; ++i) {
+      for (std::size_t j = 0; j < kDim; ++j) {
+        EXPECT_EQ(acc.covariance(i, j), s(i, j))
+            << "push " << acc.pushes() << " entry " << i << "," << j;
+      }
     }
   }
-  EXPECT_TRUE(acc.matrix_is_cheap());
+  EXPECT_EQ(acc.pushes(), 3 * window + 2);
+  EXPECT_GE(acc.refreshes(), 2u);
+  EXPECT_TRUE(acc.view_is_cheap());
 }
 
 TEST(StreamingMoments, WindowFillSemantics) {
@@ -153,7 +167,7 @@ TEST(StreamingMoments, RejectsBadConfigAndInput) {
   EXPECT_THROW(acc.push(wrong), std::invalid_argument);
   acc.push(linalg::Vector{1.0, 2.0, 3.0});
   EXPECT_THROW(static_cast<void>(acc.covariance(0, 0)), std::logic_error);
-  EXPECT_THROW(static_cast<void>(acc.matrix()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(acc.view()), std::logic_error);
 }
 
 }  // namespace

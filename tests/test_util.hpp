@@ -16,6 +16,7 @@
 #include "net/graph.hpp"
 #include "net/path.hpp"
 #include "net/routing_matrix.hpp"
+#include "stats/covariance_source.hpp"
 #include "stats/moments.hpp"
 #include "stats/rng.hpp"
 #include "topology/generators.hpp"
@@ -36,6 +37,16 @@ inline std::string scratch_file(const std::string& name) {
               std::string(info->name()) + "_";
   }
   return unique + name;
+}
+
+/// The dense S a covariance view stands for, entry by entry:
+/// S_ij = c_ij * scale.
+inline linalg::Matrix materialize(stats::CovarianceView view) {
+  linalg::Matrix s(view.dim(), view.dim());
+  for (std::size_t i = 0; i < view.dim(); ++i) {
+    for (std::size_t j = 0; j < view.dim(); ++j) s(i, j) = view(i, j);
+  }
+  return s;
 }
 
 /// The paper's Figure 1 network: one beacon B1, three destinations, five
