@@ -54,99 +54,81 @@ linalg::Matrix augmented_normal_matrix(const linalg::CoTraversalGram& gram,
                            threads);
 }
 
-linalg::Vector augmented_normal_rhs(
-    const stats::CenteredSnapshots& y,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads) {
-  const std::size_t nc = column_paths.size();
-  const std::size_t np = y.dim();
-  const std::size_t m = y.count();
+linalg::Vector augmented_normal_rhs(const stats::SnapshotWindow& y,
+                                    const linalg::SparseBinaryMatrix& r,
+                                    std::size_t threads) {
+  const std::size_t np = y.dim;
+  const std::size_t nc = r.cols();
+  const std::size_t m = y.count;
+  if (r.rows() != np) throw std::invalid_argument("window dim != path count");
   if (m < 2) throw std::logic_error("need >= 2 snapshots");
-  linalg::Vector h(nc, 0.0);
+  const double m1 = static_cast<double>(m - 1);
 
-  // Per-path variances, shared across links.  Parallel over paths: each
-  // entry sums its snapshots in ascending order, matching the scalar sweep
-  // bit for bit.
-  const std::span<const double> flat = y.flat();
+  // Means (zero for a centred window) and per-path variances.  Parallel
+  // over path ranges; each range sweeps the snapshots oldest to newest, so
+  // every entry sums in snapshot order, as stats::sample_means does.
+  linalg::Vector mean(np, 0.0);
   linalg::Vector path_var(np, 0.0);
   util::parallel_for(
-      np, 64,
+      np, 256,
       [&](std::size_t i_begin, std::size_t i_end) {
-        for (std::size_t i = i_begin; i < i_end; ++i) {
-          double acc = 0.0;
-          const double* p = flat.data() + i;
-          for (std::size_t l = 0; l < m; ++l, p += np) acc += *p * *p;
-          path_var[i] = acc / static_cast<double>(m - 1);
-        }
-      },
-      threads);
-
-  util::parallel_for(
-      nc, 4,
-      [&](std::size_t k_begin, std::size_t k_end) {
-        for (std::size_t k = k_begin; k < k_end; ++k) {
-          const auto& paths = column_paths[k];
-          // FullSum = 1/(m-1) sum_l ( sum_{i in S_k} ytilde_i^l )^2.
-          double full_sum = 0.0;
+        if (!y.centered) {
           for (std::size_t l = 0; l < m; ++l) {
             const auto row = y.sample(l);
-            double s = 0.0;
-            for (const auto i : paths) s += row[i];
-            full_sum += s * s;
+            for (std::size_t i = i_begin; i < i_end; ++i) mean[i] += row[i];
           }
-          full_sum /= static_cast<double>(m - 1);
-          double diag = 0.0;
-          for (const auto i : paths) diag += path_var[i];
-          h[k] = 0.5 * (full_sum + diag);
+          const double inv = 1.0 / static_cast<double>(m);
+          for (std::size_t i = i_begin; i < i_end; ++i) mean[i] *= inv;
+        }
+        for (std::size_t l = 0; l < m; ++l) {
+          const auto row = y.sample(l);
+          for (std::size_t i = i_begin; i < i_end; ++i) {
+            const double d = row[i] - mean[i];
+            path_var[i] += d * d;
+          }
+        }
+        for (std::size_t i = i_begin; i < i_end; ++i) path_var[i] /= m1;
+      },
+      threads);
+
+  // Squared link sums s_k(l)^2, one snapshot per task.  Path-major, so
+  // each s_k(l) adds its paths' centred values in ascending path order.
+  // Each square is stored before the sum below reads it, so it is rounded
+  // on its own whether or not the compiler contracts multiply-adds.
+  linalg::Matrix squares(m, nc);
+  util::parallel_for(
+      m, 1,
+      [&](std::size_t l_begin, std::size_t l_end) {
+        for (std::size_t l = l_begin; l < l_end; ++l) {
+          const auto row = y.sample(l);
+          auto s = squares.row(l);
+          for (std::size_t i = 0; i < np; ++i) {
+            const double d = row[i] - mean[i];
+            for (const auto k : r.row(i)) s[k] += d;
+          }
+          for (auto& v : s) v *= v;
         }
       },
       threads);
-  return h;
-}
 
-// Each S_ij = c_ij * scale must be rounded to a double before it is
-// summed, exactly as a materialised S entry would be.  GCC contracts a
-// multiply that feeds an add into one FMA by default, across statements
-// too, so contraction is off for this function; Clang contracts only
-// within one expression, which the separate statements below avoid.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC push_options
-#pragma GCC optimize("fp-contract=off")
-#endif
-linalg::Vector augmented_normal_rhs(
-    stats::CovarianceView s,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads) {
-  const std::size_t nc = column_paths.size();
+  // h starts as sum_{i in S_k} var_i, folded path-major like the sums.
   linalg::Vector h(nc, 0.0);
-  // Links are independent (disjoint writes) and every per-link sum runs in
-  // ascending path order: bit-identical at any thread count.
+  for (std::size_t i = 0; i < np; ++i) {
+    for (const auto k : r.row(i)) h[k] += path_var[i];
+  }
   util::parallel_for(
-      nc, 4,
+      nc, 64,
       [&](std::size_t k_begin, std::size_t k_end) {
         for (std::size_t k = k_begin; k < k_end; ++k) {
-          const auto& paths = column_paths[k];
+          // FullSum = 1/(m-1) sum_l s_k(l)^2, snapshots in order.
           double full_sum = 0.0;
-          double diag = 0.0;
-          for (const auto i : paths) {
-            const auto row = s.c.row(i);
-            const double s_ii = row[i] * s.scale;
-            diag += s_ii;
-            double acc = 0.0;
-            for (const auto j : paths) {
-              const double s_ij = row[j] * s.scale;
-              acc += s_ij;
-            }
-            full_sum += acc;
-          }
-          h[k] = 0.5 * (full_sum + diag);
+          for (std::size_t l = 0; l < m; ++l) full_sum += squares(l, k);
+          full_sum /= m1;
+          h[k] = 0.5 * (full_sum + h[k]);
         }
       },
       threads);
   return h;
 }
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC pop_options
-#endif
 
 }  // namespace losstomo::core

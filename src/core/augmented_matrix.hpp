@@ -58,26 +58,18 @@ linalg::Vector packed_covariances(stats::CovarianceView s);
 linalg::Matrix augmented_normal_matrix(const linalg::CoTraversalGram& gram,
                                        std::size_t threads = 0);
 
-/// Implicit right-hand side h = A^T Sigma* using the closed form above.
-/// `column_paths[k]` lists the paths traversing link k (from
-/// SparseBinaryMatrix::column_lists()).  Links are processed in parallel;
-/// every per-link sum keeps the sequential snapshot order, so the result is
-/// bit-identical to the scalar implementation at any thread count.
-linalg::Vector augmented_normal_rhs(
-    const stats::CenteredSnapshots& y,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads = 0);
-
-/// Same right-hand side evaluated from a dense view of S
-/// (stats::CovarianceSource::view()) instead of raw snapshots:
-///   h_k = 1/2 [ sum_{i,j in S_k} S_ij + sum_{i in S_k} S_ii ].
-/// This is the per-tick form the streaming engine uses: its cost depends
-/// only on the sharing structure, never on the window length.  Each S_ij
-/// is rounded to a double before it is summed, so h is bit-identical to
-/// the same sums over a materialised S.
-linalg::Vector augmented_normal_rhs(
-    stats::CovarianceView s,
-    const std::vector<std::vector<std::uint32_t>>& column_paths,
-    std::size_t threads = 0);
+/// Implicit right-hand side h = A^T Sigma* using the closed form above,
+/// read from the m snapshots of a window in O(m (np + nnz(r))) — no path
+/// pair and no np x np statistic is touched.  A raw window is centred on
+/// its means, summed oldest to newest exactly as stats::sample_means does,
+/// so a raw window and the CenteredSnapshots of the same snapshots give
+/// the same h bit for bit.  The link sums s_k(l) are folded path-major
+/// (each path, ascending, adds its centred value to every link on its
+/// row), so every per-link sum keeps ascending path and snapshot order:
+/// bit-identical at any thread count.  Requires y.dim == r.rows() and
+/// y.count >= 2.
+linalg::Vector augmented_normal_rhs(const stats::SnapshotWindow& y,
+                                    const linalg::SparseBinaryMatrix& r,
+                                    std::size_t threads = 0);
 
 }  // namespace losstomo::core

@@ -238,16 +238,16 @@ NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
   return acc;
 }
 
-// Closed-form accumulation keeping all equations (policy kKeep).  Both the
-// normal matrix and the right-hand side are assembled in parallel inside
-// core/augmented_matrix.cpp.
+// Closed-form accumulation keeping all equations (policy kKeep) from the
+// window's snapshots.  Both the normal matrix and the right-hand side are
+// assembled in parallel inside core/augmented_matrix.cpp.
 NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
-                                       const stats::CenteredSnapshots& y,
+                                       const stats::SnapshotWindow& y,
                                        std::size_t threads) {
   NormalEquations sys;
   const linalg::CoTraversalGram gram(r);
   sys.g = augmented_normal_matrix(gram, threads);
-  sys.h = augmented_normal_rhs(y, r.column_lists(), threads);
+  sys.h = augmented_normal_rhs(y, r, threads);
   sys.used = pair_count(r.rows());
   return sys;
 }
@@ -314,7 +314,7 @@ NormalEquations build_normal_equations_centered(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& centered,
     const VarianceOptions& options) {
   if (!resolve_negative_policy(options, r.rows())) {
-    return accumulate_closed_form(r, centered, options.threads);
+    return accumulate_closed_form(r, centered.window(), options.threads);
   }
   const stats::BatchCovarianceSource source(centered, options.threads);
   return accumulate_pairwise_blocked(r, source, true, options.threads);
@@ -444,13 +444,7 @@ NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
   if (resolve_negative_policy(options, r.rows())) {
     return accumulate_pairwise_blocked(r, source, true, options.threads);
   }
-  NormalEquations sys;
-  const linalg::CoTraversalGram gram(r);
-  sys.g = augmented_normal_matrix(gram, options.threads);
-  sys.h = augmented_normal_rhs(source.view(), r.column_lists(),
-                               options.threads);
-  sys.used = pair_count(r.rows());
-  return sys;
+  return accumulate_closed_form(r, source.snapshots(), options.threads);
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
@@ -514,20 +508,19 @@ StreamingNormalEquations::StreamingNormalEquations(
   }
   sys_.g = linalg::Matrix(nc_, nc_);
   sys_.h.assign(nc_, 0.0);
+  routing_ = r;
   if (!drop_negative_) {
     // Keep-all: G depends only on the routing matrix.
     const linalg::CoTraversalGram gram(r);
     sys_.g = augmented_normal_matrix(gram, options_.threads);
     sys_.used = pair_count(np_);
-    column_paths_ = r.column_lists();
     return;
   }
   // Drop-negative: defer the sharing-pair enumeration to the first
-  // refresh() (lazy build keeps construction O(nnz) — just this copy).
-  // Every pair starts "dropped", so every link starts identity-pinned:
-  // G = I, and the first refresh folds the kept pairs in (and the pins
-  // out) through the flip path.
-  pending_r_ = r;
+  // refresh() (lazy build keeps construction O(nnz) — just the copy
+  // above).  Every pair starts "dropped", so every link starts
+  // identity-pinned: G = I, and the first refresh folds the kept pairs in
+  // (and the pins out) through the flip path.
   flip_scratch_.assign(nc_, 0.0);
   coverage_.assign(nc_, 0);
   pinned_in_g_.assign(nc_, 1);
@@ -550,16 +543,16 @@ StreamingNormalEquations::StreamingNormalEquations(
   pairs_ = std::move(store);
   pair_kept_.assign(pairs_->pair_count(), 0);
   pending_mark_.assign(pairs_->pair_count(), 0);
-  pending_r_.reset();
+  routing_.reset();
 }
 
 void StreamingNormalEquations::ensure_store() {
   if (pairs_) return;
   pairs_ = std::make_shared<SharingPairStore>(
-      SharingPairStore::build(*pending_r_, options_.threads));
+      SharingPairStore::build(*routing_, options_.threads));
   pair_kept_.assign(pairs_->pair_count(), 0);
   pending_mark_.assign(pairs_->pair_count(), 0);
-  pending_r_.reset();
+  routing_.reset();
 }
 
 // Folds the flipped pairs into G (integer counts, so the order does not
@@ -683,7 +676,7 @@ void StreamingNormalEquations::add_paths(const linalg::SparseBinaryMatrix& r,
   }
   np_ = r.rows();
   if (!pairs_) {
-    pending_r_ = r;  // still lazy: the eventual build covers the new rows
+    routing_ = r;  // still lazy: the eventual build covers the new rows
     return;
   }
   pairs_->add_rows(r);
@@ -819,8 +812,8 @@ const NormalEquations& StreamingNormalEquations::refresh(
   refreshed_ = true;
 
   if (!drop_negative_) {
-    sys_.h =
-        augmented_normal_rhs(source.view(), column_paths_, options_.threads);
+    sys_.h = augmented_normal_rhs(source.snapshots(), *routing_,
+                                  options_.threads);
     return sys_;
   }
 
@@ -1246,9 +1239,9 @@ void StreamingNormalEquations::restore_state(
   if (drop_negative_) {
     if (has_store) {
       pairs_ = std::move(pairs);
-      pending_r_.reset();
+      routing_.reset();
     }
-    // else: the lazy pending_r_ installed by the constructor stays.
+    // else: the lazy routing_ installed by the constructor stays.
     pair_kept_ = std::move(pair_kept);
     pending_ = std::move(pending);
     pending_mark_ = std::move(pending_mark);

@@ -153,7 +153,11 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 /// Two policies, two incremental strategies:
 ///  * keep-all: G = A^T A depends only on the routing matrix, so it is
 ///    assembled at construction, the Cholesky factorization is computed on
-///    the first solve(), and every subsequent solve() is O(nc^2);
+///    the first solve(), and every subsequent solve() is O(nc^2).  refresh()
+///    reads only the source's snapshot window (CovarianceSource::
+///    snapshots()) and rebuilds h by the closed form in
+///    O(m (np + nnz(r))) — it never reads S or the cross-products C, so
+///    its h equals the batch estimator's on the same window bit for bit;
 ///  * drop-negative: the sharing pairs live in a SharingPairStore built
 ///    *lazily* on the first refresh() (chunk-parallel, memory proportional
 ///    to the sharing structure — see core/sharing_pairs.hpp), so
@@ -177,11 +181,11 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///         rank-1 count reaches VarianceOptions::factor_update_cap
 ///         (drift bound).
 ///
-/// refresh() rebuilds h from the source's current covariance matrix — cost
-/// proportional to the sharing structure, independent of the window length
-/// — and solve() yields the same clamped estimate as
-/// estimate_link_variances on an equal-valued source to refinement
-/// accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
+/// Under drop-negative, refresh() rebuilds h from the source's current
+/// covariance matrix — cost proportional to the sharing structure,
+/// independent of the window length.  Either way solve() yields the same
+/// clamped estimate as estimate_link_variances on an equal-valued source
+/// to refinement accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
 /// well-conditioned instances, and bit-identical on freshly refactorized
 /// ticks; methods kNormal and kNnls — the constructors throw
 /// std::invalid_argument for kDenseQr, whose callers must use the batch
@@ -208,7 +212,8 @@ class StreamingNormalEquations {
                            std::shared_ptr<SharingPairStore> store);
 
   /// Recomputes h (and the sign-flipped parts of G and the cached factor
-  /// under drop-negative) from the source's current covariance matrix.
+  /// under drop-negative): from the source's snapshot window under
+  /// keep-all, from its current covariance matrix under drop-negative.
   /// Under drop-negative a pair enters the system only when it is live
   /// (both paths' store rows live), ready (source.samples() covers the
   /// full window for both paths — path-churn warm-up), and its covariance
@@ -307,12 +312,12 @@ class StreamingNormalEquations {
   // marks, the kept-pair flags, link coverage and pin states, and all
   // counters.  `store_external` is true when the pair store is owned by
   // someone else (the monitor's shared PairMoments store) and serialized
-  // there; otherwise an owned store is embedded.  Structure derived purely
-  // from the routing matrix (column_paths_, the lazy pending_r_) is NOT
-  // serialized — restore_state targets an instance freshly constructed
-  // over the same (already restored) routing matrix and store
-  // configuration, and throws io::CheckpointError(kMismatch) on any shape
-  // or policy disagreement.  On failure *this is unchanged.
+  // there; otherwise an owned store is embedded.  The routing matrix
+  // itself (routing_) is NOT serialized — restore_state targets an
+  // instance freshly constructed over the same (already restored) routing
+  // matrix and store configuration, and throws
+  // io::CheckpointError(kMismatch) on any shape or policy disagreement.
+  // On failure *this is unchanged.
   void save_state(io::CheckpointWriter& writer, bool store_external) const;
   void restore_state(io::CheckpointReader& reader,
                      std::shared_ptr<SharingPairStore> shared_store);
@@ -330,11 +335,10 @@ class StreamingNormalEquations {
   std::size_t nc_ = 0;
   bool drop_negative_ = false;
   bool refreshed_ = false;
-  // keep-all: per-link path lists for the closed-form rhs.
-  std::vector<std::vector<std::uint32_t>> column_paths_;
-  // drop-negative: routing matrix retained until the pair store is built
-  // (kept current by add_path while still lazy).
-  std::optional<linalg::SparseBinaryMatrix> pending_r_;
+  // The routing matrix: under keep-all the closed-form rhs folds paths
+  // into links through it; under drop-negative it is retained only until
+  // the pair store is built (kept current by add_path while still lazy).
+  std::optional<linalg::SparseBinaryMatrix> routing_;
   std::shared_ptr<SharingPairStore> pairs_;
   std::vector<std::uint8_t> pair_kept_;
   linalg::Vector flip_scratch_;  // shared-link indicator for up/downdates

@@ -160,7 +160,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec,
   spec_.validate();
   event_counts_.assign(kEventTypeCount, 0);
   auto base = generate_base(spec_.topology);
-  graph_ = std::move(base.graph);
+  graph_ = std::make_unique<const net::Graph>(std::move(base.graph));
   base_paths_ = base.paths.size();
   if (base_paths_ < 2) {
     throw std::invalid_argument("scenario topology yields < 2 paths");
@@ -220,7 +220,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec,
               " is rerouted twice; one route change per path is supported");
         }
         rerouted.insert(e.path);
-        auto alt = alternate_route(graph_, universe_paths_[e.path]);
+        auto alt = alternate_route(*graph_, universe_paths_[e.path]);
         if (!alt) {
           throw std::invalid_argument(
               "no alternate route exists for rerouted path " +
@@ -249,7 +249,7 @@ ScenarioRunner::ScenarioRunner(ScenarioSpec spec,
     }
   }
 
-  rrm_ = std::make_unique<net::ReducedRoutingMatrix>(graph_, universe_paths_);
+  rrm_ = std::make_unique<net::ReducedRoutingMatrix>(*graph_, universe_paths_);
   for (const Event& e : timeline_.events()) {
     if ((e.type == EventType::kLinkDown || e.type == EventType::kLinkUp) &&
         e.link >= rrm_->link_count()) {
@@ -372,7 +372,7 @@ std::unique_ptr<core::LiaMonitor> ScenarioRunner::make_initial_monitor()
 
 std::unique_ptr<sim::SnapshotSimulator> ScenarioRunner::make_simulator()
     const {
-  return std::make_unique<sim::SnapshotSimulator>(graph_, *rrm_, sim_config_,
+  return std::make_unique<sim::SnapshotSimulator>(*graph_, *rrm_, sim_config_,
                                                   spec_.seed);
 }
 

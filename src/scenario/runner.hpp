@@ -134,7 +134,7 @@ class ScenarioRunner {
   [[nodiscard]] const std::vector<std::uint32_t>& monitor_links() const {
     return monitor_to_universe_;
   }
-  [[nodiscard]] const net::Graph& graph() const { return graph_; }
+  [[nodiscard]] const net::Graph& graph() const { return *graph_; }
   /// Base paths routed over the topology (before alternates/reserve).
   [[nodiscard]] std::size_t base_path_count() const { return base_paths_; }
   [[nodiscard]] std::size_t ticks_run() const { return tick_; }
@@ -216,7 +216,8 @@ class ScenarioRunner {
 
   ScenarioSpec spec_;
   EventTimeline timeline_;
-  net::Graph graph_;
+  // Heap-held so its address survives a move: the simulator refers to it.
+  std::unique_ptr<const net::Graph> graph_;
   std::vector<net::Path> universe_paths_;
   core::MonitorOptions monitor_options_;  // resolved (window, drop policy)
   sim::ScenarioConfig sim_config_;

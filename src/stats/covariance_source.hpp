@@ -20,7 +20,9 @@
 // Dense consumers read S through a CovarianceView {c, scale}: S_ij =
 // c(i, j) * scale.  The batch source hands out its materialised S with
 // scale 1.0 (exact); the streaming one hands out C with scale 1/(n-1),
-// so no second np x np buffer ever holds S.
+// so no second np x np buffer ever holds S.  Consumers that need no S at
+// all — the keep-all closed form — read the snapshots behind it through
+// snapshots() instead.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +30,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -42,10 +45,10 @@ namespace losstomo::stats {
 
 /// Dense read access to a covariance matrix S stored as a scaled matrix:
 /// S_ij = c(i, j) * scale.  Consumers that sum entries must round each
-/// product to a double before adding it (compare it first, or compile the
-/// sum without FP contraction, as core::augmented_normal_rhs does): a
-/// compiler that fuses c * scale into the sum as one FMA would change the
-/// bits relative to summing a materialised S.
+/// product to a double before adding it (compare or store it first, as the
+/// drop-negative accumulations do): a compiler that fuses c * scale into
+/// the sum as one FMA would change the bits relative to summing a
+/// materialised S.
 struct CovarianceView {
   const linalg::Matrix& c;
   double scale;
@@ -92,6 +95,14 @@ class CovarianceSource {
   /// accumulation) use this instead of per-pair covariance() calls.
   [[nodiscard]] virtual std::span<const double> centered_flat() const {
     return {};
+  }
+
+  /// The count() snapshots the statistics describe, oldest first — what
+  /// the keep-all closed form (core::augmented_normal_rhs) reads in place
+  /// of S.  Valid until the next mutation.  Sources that keep no
+  /// snapshots throw std::logic_error.
+  [[nodiscard]] virtual SnapshotWindow snapshots() const {
+    throw std::logic_error("covariance source keeps no snapshot window");
   }
 
   // -- Path churn (scenario engine, src/scenario/) ------------------------
@@ -202,6 +213,9 @@ class BatchCovarianceSource final : public CovarianceSource {
   }
   [[nodiscard]] std::span<const double> centered_flat() const override {
     return centered_->flat();
+  }
+  [[nodiscard]] SnapshotWindow snapshots() const override {
+    return centered_->window();
   }
 
   [[nodiscard]] const CenteredSnapshots& centered() const { return *centered_; }

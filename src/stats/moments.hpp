@@ -59,6 +59,24 @@ class SnapshotMatrix {
 /// Per-coordinate sample means of the snapshots.
 std::vector<double> sample_means(const SnapshotMatrix& y);
 
+/// Read-only view of a window of `count` snapshots kept in a ring of
+/// `capacity` row-major samples; sample(l) is the l-th oldest.  A raw
+/// window (a sliding window's ring) leaves centring to the consumer; a
+/// centred one (CenteredSnapshots::window()) is already centred on its
+/// sample_means.
+struct SnapshotWindow {
+  std::span<const double> ring;  // capacity rows of dim entries
+  std::size_t dim = 0;
+  std::size_t capacity = 0;
+  std::size_t count = 0;
+  std::size_t head = 0;  // ring row of the oldest snapshot
+  bool centered = false;
+
+  [[nodiscard]] std::span<const double> sample(std::size_t l) const {
+    return ring.subspan(((head + l) % capacity) * dim, dim);
+  }
+};
+
 /// Centred snapshots plus cached means; the basis for all covariance math.
 class CenteredSnapshots {
  public:
@@ -84,6 +102,11 @@ class CenteredSnapshots {
 
   /// Contiguous centred samples (count() rows of dim() entries).
   [[nodiscard]] std::span<const double> flat() const { return centered_.flat(); }
+  /// The centred samples as a window, oldest first.
+  [[nodiscard]] SnapshotWindow window() const {
+    return {.ring = flat(), .dim = dim(), .capacity = count(),
+            .count = count(), .centered = true};
+  }
 
  private:
   SnapshotMatrix centered_;

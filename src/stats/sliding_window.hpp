@@ -85,6 +85,11 @@ class SlidingWindow {
   [[nodiscard]] std::span<const double> sample(std::size_t l) const {
     return ring_.sample((head_ + l) % options_.window);
   }
+  /// The retained snapshots as a raw window over the ring, oldest first.
+  [[nodiscard]] SnapshotWindow snapshots() const {
+    return {.ring = ring_.flat(), .dim = dim_, .capacity = options_.window,
+            .count = count_, .head = head_};
+  }
 
   // Path churn (stats::PathChurnLedger rule; range-checked).
   void activate(std::size_t i);

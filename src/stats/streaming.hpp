@@ -13,6 +13,11 @@
 //
 // S is never stored: view() hands out C with the scale 1/(n-1), and every
 // consumer reads S_ij as C_ij * (1/(n-1)) — the only np x np buffer is C.
+// Only the drop-negative Phase 1 reads it.  The keep-all refresh reads
+// snapshots() — the ring itself, no copy — and rebuilds h by the closed
+// form in O(window * (np + nnz(R))) (core::augmented_normal_rhs), so under
+// keep-all C costs the per-push fold and checkpoint space and is read by
+// no estimator.
 //
 // Floating-point drift from the incremental updates is bounded by a
 // deterministic periodic full refresh: every `refresh_every` pushes the
@@ -62,6 +67,10 @@ class StreamingMoments final : public CovarianceSource {
   /// refers to C and is invalidated by the next push/refresh/add_paths.
   [[nodiscard]] CovarianceView view() const override;
   [[nodiscard]] bool view_is_cheap() const override { return true; }
+  /// The retained window's ring, oldest first (no copy).
+  [[nodiscard]] SnapshotWindow snapshots() const override {
+    return window_.snapshots();
+  }
 
   [[nodiscard]] std::size_t window() const { return window_.window(); }
   [[nodiscard]] bool full() const { return count() == window(); }

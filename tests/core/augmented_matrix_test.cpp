@@ -152,7 +152,7 @@ TEST(AugmentedNormal, RhsMatchesExplicitProduct) {
   const auto sigma = losstomo::testing::packed_covariances(centered);
   const auto explicit_rhs = a.multiply_transpose(sigma);
   const auto implicit_rhs =
-      augmented_normal_rhs(centered, rrm.matrix().column_lists());
+      augmented_normal_rhs(centered.window(), rrm.matrix());
   ASSERT_EQ(implicit_rhs.size(), explicit_rhs.size());
   for (std::size_t k = 0; k < explicit_rhs.size(); ++k) {
     EXPECT_NEAR(implicit_rhs[k], explicit_rhs[k], 1e-10) << "link " << k;
@@ -190,7 +190,7 @@ TEST_P(AugmentedNormalProperty, ImplicitEqualsExplicit) {
   }
   const stats::CenteredSnapshots centered(y);
   const auto explicit_rhs = a.multiply_transpose(losstomo::testing::packed_covariances(centered));
-  const auto implicit_rhs = augmented_normal_rhs(centered, r.column_lists());
+  const auto implicit_rhs = augmented_normal_rhs(centered.window(), r);
   for (std::size_t k = 0; k < nc; ++k) {
     EXPECT_NEAR(implicit_rhs[k], explicit_rhs[k], 1e-10);
   }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -84,6 +85,34 @@ TEST(ScenarioRunner, DeterministicAcrossRuns) {
     if (!ia) continue;
     EXPECT_EQ(linalg::max_abs_diff(ia->loss, ib->loss), 0.0);
   }
+}
+
+// The simulator refers to the runner's graph, so the graph must keep its
+// address when the runner moves: a moved-to runner keeps stepping after
+// its source is destroyed (a use-after-free under ASan otherwise), by move
+// construction and by move assignment alike.
+TEST(ScenarioRunner, MovedRunnerStepsAfterItsSourceIsDestroyed) {
+  ScenarioRunner reference(small_mesh_spec(), {});
+  const auto step_both = [&](ScenarioRunner& runner, std::size_t ticks) {
+    for (std::size_t t = 0; t < ticks; ++t) {
+      const auto expected = reference.step();
+      const auto got = runner.step();
+      ASSERT_EQ(expected.has_value(), got.has_value());
+      if (expected) EXPECT_EQ(expected->loss, got->loss);
+    }
+  };
+  auto first = std::make_unique<ScenarioRunner>(small_mesh_spec(),
+                                                core::MonitorOptions{});
+  step_both(*first, 12);
+  auto second = std::make_unique<ScenarioRunner>(std::move(*first));
+  first.reset();
+  step_both(*second, 10);
+  ScenarioRunner third(small_mesh_spec(), {});
+  third = std::move(*second);
+  second.reset();
+  step_both(third, third.spec().ticks - third.ticks_run());
+  EXPECT_EQ(third.ticks_run(), third.spec().ticks);
+  EXPECT_EQ(third.outcome().diagnosed, reference.outcome().diagnosed);
 }
 
 TEST(ScenarioRunner, InitialPathsStartRetired) {
