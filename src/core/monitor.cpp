@@ -6,10 +6,12 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/pair_moments.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_tags.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "stats/streaming.hpp"
 
 namespace losstomo::core {
 
@@ -92,11 +94,24 @@ MonitorOptions resolve_monitor_options(MonitorOptions options,
   return options;
 }
 
-stats::StreamingMomentsOptions accumulator_options(
-    const MonitorOptions& options) {
-  return {.window = options.window,
-          .refresh_every = options.refresh_every,
-          .threads = options.lia.variance.threads};
+// The accumulator the policy reads from: the ring alone under keep-all
+// (its closed form reads only the snapshots); the pair-indexed one over
+// `store` (non-null exactly under kSharingPairs) or the dense one under
+// drop-negative.
+std::unique_ptr<stats::WindowAccumulator> make_accumulator(
+    const MonitorOptions& options, std::size_t paths,
+    std::shared_ptr<const SharingPairStore> store) {
+  const stats::StreamingMomentsOptions window{
+      .window = options.window,
+      .refresh_every = options.refresh_every,
+      .threads = options.lia.variance.threads};
+  if (options.lia.variance.negatives != NegativeCovariancePolicy::kDrop) {
+    return std::make_unique<stats::SnapshotRing>(paths, window);
+  }
+  if (store) {
+    return std::make_unique<PairMoments>(std::move(store), paths, window);
+  }
+  return std::make_unique<stats::StreamingMoments>(paths, window);
 }
 
 // Path churn needs the per-pair drop bookkeeping of the drop-negative
@@ -152,15 +167,11 @@ LiaMonitor::LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options)
                  ? std::make_shared<SharingPairStore>(SharingPairStore::build(
                        r_, options_.lia.variance.threads))
                  : nullptr),
+      accumulator_(make_accumulator(options_, r_.rows(), store_)),
       // Throws std::invalid_argument for VarianceMethod::kDenseQr.
       equations_(store_ ? StreamingNormalEquations(r_, options_.lia.variance,
                                                    store_)
                         : StreamingNormalEquations(r_, options_.lia.variance)) {
-  if (store_) {
-    pair_accumulator_.emplace(store_, r_.rows(), accumulator_options(options_));
-  } else {
-    accumulator_.emplace(r_.rows(), accumulator_options(options_));
-  }
   active_.assign(r_.rows(), 1);
   activated_tick_.assign(r_.rows(), 0);
   if (options_.telemetry != nullptr) {
@@ -180,7 +191,7 @@ void LiaMonitor::publish_telemetry() {
   t.paths->set(static_cast<double>(r_.rows()));
   t.links->set(static_cast<double>(r_.cols()));
   t.active_paths->set(static_cast<double>(active_path_count()));
-  t.window_fill->set(static_cast<double>(window_fill()));
+  t.window_fill->set(static_cast<double>(accumulator_->count()));
   t.rank1_updates->set(equations_.rank1_updates());
   t.refactorizations->set(equations_.refactorizations());
   t.pin_updates->set(equations_.pin_updates());
@@ -194,23 +205,6 @@ void LiaMonitor::publish_telemetry() {
     t.equations_used->set(static_cast<double>(variance_->equations_used));
     t.equations_dropped->set(static_cast<double>(variance_->equations_dropped));
     t.negative_clamped->set(static_cast<double>(variance_->negative_clamped));
-  }
-}
-
-std::size_t LiaMonitor::window_fill() const {
-  return streaming_source().count();
-}
-
-const stats::CovarianceSource& LiaMonitor::streaming_source() const {
-  if (pair_accumulator_) return *pair_accumulator_;
-  return *accumulator_;
-}
-
-void LiaMonitor::push_snapshot(std::span<const double> y) {
-  if (pair_accumulator_) {
-    pair_accumulator_->push(y);
-  } else {
-    accumulator_->push(y);
   }
 }
 
@@ -236,18 +230,10 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
   // the next diagnosing tick.
   since_learn_ = options_.relearn_every;
   equations_.set_path_live(path, active);
-  if (pair_accumulator_) {
-    if (active) {
-      pair_accumulator_->activate_path(path);
-    } else {
-      pair_accumulator_->retire_path(path);
-    }
+  if (active) {
+    accumulator_->activate_path(path);
   } else {
-    if (active) {
-      accumulator_->activate_path(path);
-    } else {
-      accumulator_->retire_path(path);
-    }
+    accumulator_->retire_path(path);
   }
 }
 
@@ -274,11 +260,7 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   // and the store, then the accumulator aligns its pair values to it.
   equations_.grow_links(new_links);
   equations_.add_paths(r_, count);
-  if (pair_accumulator_) {
-    pair_accumulator_->add_paths(count);
-  } else {
-    accumulator_->add_paths(count);
-  }
+  accumulator_->add_paths(count);
   if (obs_) obs_->registry->note("monitor.grow");
   return index;
 }
@@ -299,7 +281,7 @@ void LiaMonitor::rebuild_active() {
 
 void LiaMonitor::relearn() {
   rebuild_active();
-  equations_.refresh(streaming_source());
+  equations_.refresh(*accumulator_);
   variance_ = equations_.solve();
   elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
                                               options_.lia.elimination);
@@ -332,7 +314,7 @@ void LiaMonitor::observe_block(std::span<const double> values,
 std::optional<LossInference> LiaMonitor::tick(std::span<const double> y) {
   ++ticks_;
   std::optional<LossInference> result;
-  if (window_fill() == options_.window) {
+  if (accumulator_->count() == options_.window) {
     // Window full: (re)learn if due, then diagnose this snapshot using the
     // PRECEDING window only (the paper's m-then-(m+1) split).
     if (!variance_ || ++since_learn_ >= options_.relearn_every) {
@@ -352,7 +334,7 @@ std::optional<LossInference> LiaMonitor::tick(std::span<const double> y) {
   {
     obs::Span accumulate_span(obs_ ? obs_->registry : nullptr,
                               obs_ ? obs_->accumulate_phase : 0);
-    push_snapshot(y);
+    accumulator_->push(y);
   }
   publish_telemetry();
   return result;
@@ -378,12 +360,8 @@ void LiaMonitor::save_state(io::CheckpointWriter& writer) const {
   writer.sizes(activated_tick_);
   writer.boolean(variance_.has_value());
   if (variance_) save_estimate(writer, *variance_);
-  if (store_) {
-    store_->save_state(writer);
-    pair_accumulator_->save_state(writer);
-  } else {
-    accumulator_->save_state(writer);
-  }
+  if (store_) store_->save_state(writer);
+  accumulator_->save_state(writer);
   equations_.save_state(writer, store_ != nullptr);
   writer.end_section();
 }
@@ -456,9 +434,6 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   // Reconstruct the engine stack over the restored routing, restore its
   // serialized state into the fresh objects, and only then commit.
   std::shared_ptr<SharingPairStore> store;
-  std::optional<stats::StreamingMoments> acc;
-  std::optional<PairMoments> pair_acc;
-  std::optional<StreamingNormalEquations> equations;
   if (store_) {
     store = std::make_shared<SharingPairStore>();
     store->restore_state(reader);
@@ -466,15 +441,14 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                                 "pair store path count != routing rows");
     }
-    pair_acc.emplace(store, nrows, accumulator_options(options_));
-    pair_acc->restore_state(reader);
-    equations.emplace(*new_r, options_.lia.variance, store);
-  } else {
-    acc.emplace(nrows, accumulator_options(options_));
-    acc->restore_state(reader);
-    equations.emplace(*new_r, options_.lia.variance);
   }
-  equations->restore_state(reader, store);
+  std::unique_ptr<stats::WindowAccumulator> acc =
+      make_accumulator(options_, nrows, store);
+  acc->restore_state(reader);
+  StreamingNormalEquations equations =
+      store ? StreamingNormalEquations(*new_r, options_.lia.variance, store)
+            : StreamingNormalEquations(*new_r, options_.lia.variance);
+  equations.restore_state(reader, store);
   reader.end_section();
 
   // Commit (non-throwing moves), then recompute the derived Phase-2 state.
@@ -488,8 +462,7 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   active_r_.reset();
   store_ = std::move(store);
   accumulator_ = std::move(acc);
-  pair_accumulator_ = std::move(pair_acc);
-  equations_ = std::move(*equations);
+  equations_ = std::move(equations);
   variance_ = std::move(estimate);
   elimination_.reset();
   if (variance_) {

@@ -12,17 +12,21 @@
 // snapshot m+1 on the active-row submatrix of the routing matrix.  An
 // overlay without churn is the case where every path is active.
 //
-// The relearn is incremental: an accumulator keeps the window covariance
-// current under rank-1 add/retire updates, and a StreamingNormalEquations
-// instance refreshes h (and the sign-flipped parts of G) from it,
-// re-using the cached Cholesky factor while G is unchanged.  Steady-state
-// tick cost is independent of the window length; under the keep-all
-// policy G never changes and the normal equations are factorized exactly
-// once.  The accumulator is selectable: the dense stats::StreamingMoments
-// (full S, O(np^2) per tick) or the pair-indexed core::PairMoments
-// (sharing-pair entries only, O(np + pairs) per tick — the configuration
-// that scales drop-negative monitoring to multi-thousand-path overlays).
-// Every observed snapshot enters the window regardless of relearn_every.
+// The relearn is incremental: one accumulator (stats::WindowAccumulator)
+// keeps the window, and a StreamingNormalEquations instance refreshes h
+// (and the sign-flipped parts of G) from it, re-using the cached Cholesky
+// factor while G is unchanged.  The policy picks the accumulator.  Under
+// keep-all, G never changes (the normal equations are factorized exactly
+// once) and h is the closed form over the window's snapshots, so the
+// accumulator is stats::SnapshotRing: the ring alone, O(np) per push.
+// Under drop-negative, h sums the non-negative pair covariances, kept
+// current under rank-1 add/retire updates by the dense
+// stats::StreamingMoments (full C, O(np^2) per tick) or the pair-indexed
+// core::PairMoments (sharing-pair entries only, O(np + pairs) per tick —
+// the configuration that scales drop-negative monitoring to
+// multi-thousand-path overlays), per MonitorOptions::accumulator.
+// Steady-state tick cost is independent of the window length.  Every
+// observed snapshot enters the window regardless of relearn_every.
 //
 // The inferences match the paper's procedure — Lia::learn on the m
 // preceding snapshots, then Phase 2 on snapshot m+1 — to <= 1e-10; the
@@ -63,11 +67,10 @@
 #include <vector>
 
 #include "core/lia.hpp"
-#include "core/pair_moments.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/sparse.hpp"
 #include "stats/moments.hpp"
-#include "stats/streaming.hpp"
+#include "stats/sliding_window.hpp"
 
 namespace losstomo::io {
 class CheckpointWriter;
@@ -80,8 +83,9 @@ class Registry;
 
 namespace losstomo::core {
 
+/// The drop-negative accumulator (keep-all always runs on the ring).
 enum class CovarianceAccumulator {
-  kDense,         // stats::StreamingMoments: full S, O(np^2) per tick
+  kDense,         // stats::StreamingMoments: full C, O(np^2) per tick
   kSharingPairs,  // core::PairMoments: sharing-pair entries, O(np + pairs)
 };
 
@@ -95,9 +99,11 @@ struct MonitorOptions {
   /// A churn event forces a relearn at the next diagnosing tick so Phase 2
   /// always runs against the current active set.
   std::size_t relearn_every = 1;
-  /// Which incremental covariance accumulator backs the relearn.
-  /// kSharingPairs requires a configuration that resolves to the
-  /// drop-negative policy (throws std::invalid_argument otherwise).
+  /// Which incremental covariance accumulator backs a drop-negative
+  /// relearn.  Keep-all reads only the window's snapshots and runs on
+  /// stats::SnapshotRing whatever this says; kSharingPairs requires a
+  /// configuration that resolves to the drop-negative policy (throws
+  /// std::invalid_argument otherwise).
   CovarianceAccumulator accumulator = CovarianceAccumulator::kDense;
   /// Full recompute cadence of the incremental accumulator in ticks,
   /// bounding floating-point drift
@@ -143,10 +149,10 @@ class LiaMonitor {
   /// Throws std::invalid_argument, before any state changes, unless
   /// `y.size()` equals routing().rows() and every entry is finite (a NaN
   /// or infinity would poison the window statistics).  Steady-state cost
-  /// per tick: the accumulator update (O(np^2) dense, O(np + pairs)
-  /// pair-indexed) + the normal-equation refresh (proportional to the
-  /// sharing structure) + the cached-factor solve — independent of the
-  /// window length.
+  /// per tick: the accumulator update (O(np) keep-all ring, O(np^2) dense,
+  /// O(np + pairs) pair-indexed) + the normal-equation refresh (the
+  /// O(m·(np + nnz)) closed form under keep-all, proportional to the
+  /// sharing structure under drop-negative) + the cached-factor solve.
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -211,7 +217,7 @@ class LiaMonitor {
   [[nodiscard]] bool warmed_up() const { return ticks_ >= options_.window; }
   /// Variances from the most recent learn (requires warmed_up()).
   [[nodiscard]] const VarianceEstimate& variances() const;
-  /// The accumulator backing the relearn.
+  /// The configured drop-negative accumulator (MonitorOptions::accumulator).
   [[nodiscard]] CovarianceAccumulator accumulator() const {
     return options_.accumulator;
   }
@@ -228,7 +234,7 @@ class LiaMonitor {
   //
   // save_state serializes the complete mutable monitor: the (possibly
   // grown) routing matrix, tick/relearn counters, the activation ledger,
-  // the streaming stack (shared pair store, accumulator rings,
+  // the streaming stack (shared pair store, the accumulator's section,
   // incrementally maintained normal equations with their cached factor),
   // and the current Phase-1 estimate.  The Phase-2 elimination is NOT
   // serialized — it is a pure function of (active routing rows,
@@ -259,17 +265,12 @@ class LiaMonitor {
   /// a restore commit, so exported counters always reflect the serialized
   /// state they are derived from.
   void publish_telemetry();
-  void push_snapshot(std::span<const double> y);
-  [[nodiscard]] std::size_t window_fill() const;
-  /// The window statistics: the pair accumulator under kSharingPairs, the
-  /// dense one otherwise.
-  [[nodiscard]] const stats::CovarianceSource& streaming_source() const;
 
   MonitorOptions options_;
   linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
   std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
-  std::optional<stats::StreamingMoments> accumulator_;  // kDense
-  std::optional<PairMoments> pair_accumulator_;         // kSharingPairs
+  // The window statistics, picked by the policy (make_accumulator).
+  std::unique_ptr<stats::WindowAccumulator> accumulator_;
   StreamingNormalEquations equations_;
   std::vector<std::uint8_t> active_;
   std::vector<std::size_t> activated_tick_;  // ticks_ at last activation

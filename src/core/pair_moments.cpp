@@ -14,8 +14,8 @@ constexpr std::size_t kPairGrain = 8192;
 PairMoments::PairMoments(std::shared_ptr<const SharingPairStore> store,
                          std::size_t dim,
                          stats::StreamingMomentsOptions options)
-    : store_(std::move(store)),
-      window_(dim, options),
+    : WindowAccumulator(dim, options),
+      store_(std::move(store)),
       values_(store_->pair_count(), 0.0) {
   if (store_->path_count() != dim) {
     throw std::invalid_argument("store path count != dim");
@@ -43,18 +43,11 @@ void PairMoments::fold(double wr, double wa) {
 }
 
 void PairMoments::push(std::span<const double> y) {
-  if (y.size() != dim()) throw std::invalid_argument("snapshot size != dim");
-  push_block(y, 1);
-}
-
-void PairMoments::push_block(std::span<const double> values,
-                             std::size_t rows) {
   if (values_.size() != store_->pair_count()) {
     throw std::logic_error("pair store grew without PairMoments::add_path");
   }
-  window_.push_block(values, rows,
-                     [this](double wr, double wa) { fold(wr, wa); },
-                     [this] { refresh(); });
+  window_.push(y, [this](double wr, double wa) { fold(wr, wa); },
+               [this] { refresh(); });
 }
 
 void PairMoments::refresh() {

@@ -10,14 +10,15 @@
 // window + pairs) instead of O(np^2).
 //
 // Ring, means, Youngs–Cramer sequencing, refresh cadence and churn ledger
-// are the shared stats::SlidingWindow that StreamingMoments runs on too;
-// this class only adds the per-pair cross-products, their fold and
-// exact-refresh kernels, and the pair reads.  The two accumulators
-// therefore agree to floating-point drift on every stored pair.  The full
-// covariance matrix is deliberately NOT available — view() throws —
-// which is why this source only powers the drop-negative policy;
-// keep-all's closed-form rhs needs the dense S and stays on
-// StreamingMoments.
+// are the stats::SlidingWindow owned by the stats::WindowAccumulator base,
+// which StreamingMoments runs on too; this class only adds the per-pair
+// cross-products, their fold and exact-refresh kernels, and the pair
+// reads.  The two accumulators therefore agree to floating-point drift on
+// every stored pair.  The full covariance matrix is deliberately NOT
+// available — view() throws — which is why this source only powers the
+// drop-negative policy.  Keep-all needs no pair covariances at all: its
+// closed-form rhs reads the ring, so keep-all monitors run on
+// stats::SnapshotRing.
 //
 // Path churn is window bookkeeping (push a zero filler for inactive
 // paths; a grown dimension starts with an all-zero ring history).  The
@@ -42,7 +43,7 @@ namespace losstomo::core {
 /// Thread-safety: single-writer (push/refresh/add_path/activate mutate);
 /// reads parallelize internally per options.threads with bit-identical
 /// results at any thread count.
-class PairMoments final : public stats::CovarianceSource {
+class PairMoments final : public stats::WindowAccumulator {
  public:
   /// `store` must outlive the accumulator and already enumerate the pairs
   /// of the routing matrix the pushed snapshots are measured over; `dim`
@@ -50,25 +51,20 @@ class PairMoments final : public stats::CovarianceSource {
   PairMoments(std::shared_ptr<const SharingPairStore> store, std::size_t dim,
               stats::StreamingMomentsOptions options);
 
-  /// Folds one snapshot (size dim()) into the window; retires the oldest
-  /// when full.  Cost: O(dim + pair_count()) — one pass over the stored
-  /// pairs folding the retire and add terms — plus the amortized
-  /// O(window * pairs / refresh_every) drift refresh.
-  void push(std::span<const double> y);
-
-  /// Batched ingestion entry point: folds `rows` consecutive snapshots
-  /// from a contiguous row-major block of rows * dim() doubles.
-  /// State-identical and bit-identical to the per-row push() loop (same
-  /// contract as stats::StreamingMoments::push_block).
-  void push_block(std::span<const double> values, std::size_t rows);
+  /// Cost: O(dim + pair_count()) — one pass over the stored pairs folding
+  /// the retire and add terms — plus the amortized O(window * pairs /
+  /// refresh_every) drift refresh.  Throws std::logic_error when the store
+  /// grew without a matching add_paths().
+  void push(std::span<const double> y) override;
+  /// Grows the ring and extends the pair values to match the store — call
+  /// AFTER SharingPairStore::add_rows.
+  std::size_t add_paths(std::size_t count) override;
 
   /// Recomputes means and every stored pair entry from the retained ring
   /// (drift bound; runs automatically every refresh_every pushes).
   void refresh();
 
   // CovarianceSource:
-  [[nodiscard]] std::size_t dim() const override { return window_.dim(); }
-  [[nodiscard]] std::size_t count() const override { return window_.count(); }
   /// O(log deg) pair lookup; returns 0 for pairs that share no link (their
   /// covariance is never consumed by the drop-negative path).
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
@@ -76,12 +72,6 @@ class PairMoments final : public stats::CovarianceSource {
   /// Throws std::logic_error.
   [[nodiscard]] stats::CovarianceView view() const override;
   [[nodiscard]] bool view_is_cheap() const override { return false; }
-  [[nodiscard]] std::size_t samples(std::size_t i) const override {
-    return window_.samples(i);
-  }
-  [[nodiscard]] bool pair_ready(std::size_t i, std::size_t j) const {
-    return window_.pair_ready(i, j);
-  }
 
   /// Covariance of stored pair p — the O(1) read the aligned
   /// StreamingNormalEquations refresh uses.  Requires count() >= 2.
@@ -96,37 +86,13 @@ class PairMoments final : public stats::CovarianceSource {
     return values_;
   }
 
-  [[nodiscard]] std::size_t window() const { return window_.window(); }
-  [[nodiscard]] bool full() const { return count() == window(); }
-  [[nodiscard]] std::size_t pushes() const { return window_.pushes(); }
-  [[nodiscard]] std::size_t refreshes() const { return window_.refreshes(); }
-
-  // Path churn (same contract as stats::StreamingMoments):
-  void activate_path(std::size_t i) { window_.activate(i); }
-  void retire_path(std::size_t i) { window_.retire(i); }
-  /// Appends one dimension (active, zero samples) and extends the pair
-  /// values to match the store — call AFTER SharingPairStore::add_row.
-  /// Returns the new dimension's index.
-  std::size_t add_path() { return add_paths(1); }
-  /// Batched growth: appends `count` dimensions at once, state-identical
-  /// to `count` add_path() calls but with ONE ring reallocation — call
-  /// AFTER SharingPairStore::add_rows.  Returns the first new dimension's
-  /// index.
-  std::size_t add_paths(std::size_t count);
-  [[nodiscard]] bool path_active(std::size_t i) const {
-    return window_.active(i);
-  }
-
-  // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
-  //
-  // Same contract as stats::StreamingMoments::save_state/restore_state:
-  // the window (ring, means, churn ledger, cadence counters) and the
-  // per-pair cross-products round-trip bit-exactly.  The
-  // SharingPairStore is serialized by its owner (the monitor) — restore
-  // targets an accumulator already constructed over the restored store and
-  // throws io::CheckpointError(kMismatch) on any shape disagreement.
-  void save_state(io::CheckpointWriter& writer) const;
-  void restore_state(io::CheckpointReader& reader);
+  /// The window and the per-pair cross-products, in the "PMOM" section.
+  /// The SharingPairStore is serialized by its owner (the monitor):
+  /// restore targets an accumulator already constructed over the restored
+  /// store and throws io::CheckpointError(kMismatch) on any shape
+  /// disagreement.
+  void save_state(io::CheckpointWriter& writer) const override;
+  void restore_state(io::CheckpointReader& reader) override;
 
  private:
   /// values_[p] += wr * dr_i dr_j + wa * da_i da_j over every stored pair
@@ -135,7 +101,6 @@ class PairMoments final : public stats::CovarianceSource {
   void fold(double wr, double wa);
 
   std::shared_ptr<const SharingPairStore> store_;
-  stats::SlidingWindow window_;
   std::vector<double> values_;  // centred cross-product per stored pair
 };
 

@@ -4,9 +4,9 @@
 // istream in the monitor's hot loop; at overlay scale (5112 paths) parsing
 // dominates the steady tick.  This format stores the same campaign as raw
 // little-endian IEEE-754 doubles so a reader can hand out contiguous
-// `[tick x path]` blocks with ZERO per-value work — the blocks fold
-// straight into the streaming accumulators (stats::StreamingMoments /
-// core::PairMoments) through the ingestion pipeline (io/pipeline.hpp).
+// `[tick x path]` blocks with ZERO per-value work — the blocks feed
+// straight into the monitor (core::LiaMonitor::observe_block) through the
+// ingestion pipeline (io/pipeline.hpp).
 //
 // File layout (all integers little-endian, fixed width):
 //

@@ -114,7 +114,7 @@ class CheckpointWriter {
   /// finish() + write to `file`; throws CheckpointError(kIo) on failure.
   void save(const std::string& file);
 
-  static constexpr std::uint32_t kVersion = 6;
+  static constexpr std::uint32_t kVersion = 7;
 
  private:
   // The file image: a header slot, sealed in place by finish(), then the

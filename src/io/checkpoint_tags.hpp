@@ -25,6 +25,7 @@ namespace losstomo::io::tags {
 inline constexpr char kRng[] = "RNG ";              // stats::Rng
 inline constexpr char kRunningStat[] = "RSTA";      // stats::RunningStat
 inline constexpr char kStreamingMoments[] = "SMOM"; // stats::StreamingMoments
+inline constexpr char kSnapshotRing[] = "RING";     // stats::SnapshotRing
 inline constexpr char kChurnLedger[] = "CHRN";      // stats::PathChurnLedger
 
 // core/ — the estimation engine.

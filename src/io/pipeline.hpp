@@ -30,9 +30,9 @@
 //
 // Semantics contract: a pipeline is *state-identical* to the classic
 // per-line loop.  LogTransform applies the exact expression SnapshotStream
-// applies (`std::log(std::max(phi, 1e-9))`), and the blocked folds
-// (StreamingMoments/PairMoments::push_block, LiaMonitor::observe_block)
-// are row-sequential over the batch — so inferences from binary ingestion
+// applies (`std::log(std::max(phi, 1e-9))`), and the blocked fold
+// (LiaMonitor::observe_block) ticks row by row over the batch — so
+// inferences from binary ingestion
 // are bit-identical to the text path at any thread count (pinned by
 // tests/io/pipeline_test).
 #pragma once

@@ -499,9 +499,6 @@ void ScenarioRunner::save_state(io::CheckpointWriter& writer) const {
                                          pending_additions_.end());
   writer.sizes(pending);
   writer.sizes(event_counts_);
-  steady_tick_.save_state(writer);
-  event_tick_.save_state(writer);
-  writer.f64(max_tick_seconds_);
   simulator_->save_state(writer);
   monitor_->save_state(writer);
   writer.end_section();
@@ -536,11 +533,6 @@ void ScenarioRunner::restore_state(io::CheckpointReader& reader) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "per-type event ledger has the wrong arity");
   }
-  stats::RunningStat steady_tick;
-  steady_tick.restore_state(reader);
-  stats::RunningStat event_tick;
-  event_tick.restore_state(reader);
-  const double max_tick_seconds = reader.f64();
   // Fresh engines, exactly the constructor's, restored before anything of
   // this runner changes: a throw below leaves the runner fully usable.
   std::unique_ptr<sim::SnapshotSimulator> simulator = make_simulator();
@@ -554,9 +546,10 @@ void ScenarioRunner::restore_state(io::CheckpointReader& reader) {
   diagnosed_ = diagnosed;
   event_counts_ = event_counts;
   pending_additions_.assign(pending.begin(), pending.end());
-  steady_tick_ = steady_tick;
-  event_tick_ = event_tick;
-  max_tick_seconds_ = max_tick_seconds;
+  // Wall-clock timings are not state: they restart at the restore.
+  steady_tick_ = {};
+  event_tick_ = {};
+  max_tick_seconds_ = 0.0;
   simulator_ = std::move(simulator);
   monitor_ = std::move(monitor);
   publish_telemetry();

@@ -67,7 +67,9 @@ struct ScenarioOutcome {
   std::size_t diagnosed = 0;
   std::size_t active_paths_end = 0;
   /// Mean/max seconds of diagnosing ticks with no event applied (the
-  /// steady state) and of ticks that applied at least one event.
+  /// steady state) and of ticks that applied at least one event.  Wall
+  /// clock, so not checkpointed: after a restore they cover the ticks run
+  /// since the restore.
   double steady_tick_seconds = 0.0;
   double event_tick_seconds = 0.0;
   double max_tick_seconds = 0.0;
@@ -181,10 +183,12 @@ class ScenarioRunner {
   //
   // save_state serializes the runner's full resumable state: the scenario
   // spec itself (as text, for identity validation on restore), the tick /
-  // event / diagnosis counters, the pending-addition queue, the timing
-  // stats, the simulator's stochastic state, and the complete monitor.
+  // event / diagnosis counters, the pending-addition queue, the
+  // simulator's stochastic state, and the complete monitor.
   // last_snapshot() is NOT serialized — the next step() regenerates it
-  // before anything reads it.
+  // before anything reads it — and neither are the wall-clock tick
+  // timings (ScenarioOutcome's *_tick_seconds), so two runs of one
+  // scenario give byte-identical images; a restore restarts the timings.
   //
   // restore_state rebuilds a *fresh* monitor and simulator (exactly the
   // constructor's), restores the serialized state into them, and commits

@@ -2,27 +2,28 @@
 // statistics from.
 //
 // The covariance system Sigma* = A v only ever consumes pairwise sample
-// covariances of the path observations; it does not care how they were
-// produced.  This interface decouples the estimator stack
-// (core::build_normal_equations / core::estimate_link_variances /
-// core::Lia::learn) from the measurement representation, with two
-// implementations:
+// covariances of the path observations, or — under keep-all — the
+// snapshots themselves; it does not care how they were produced.  This
+// interface decouples the estimator stack (core::build_normal_equations /
+// core::estimate_link_variances / core::Lia::learn) from the measurement
+// representation:
 //
 //  * BatchCovarianceSource — the reference batch path: wraps the centred
 //    m x np snapshot matrix, serves on-demand O(m) pair covariances, and
 //    materialises the full covariance matrix S lazily via the blocked SYRK
 //    kernel when a consumer asks for it;
-//  * stats::StreamingMoments (streaming.hpp) — a sliding-window accumulator
-//    that maintains the cross-products C = (n-1) S under O(np^2) add/retire
-//    sweeps, so a monitoring loop never pays the O(m np^2) batch
-//    recomputation.
+//  * the streaming accumulators (stats::WindowAccumulator in
+//    sliding_window.hpp) — a sliding window fed one snapshot per tick:
+//    stats::SnapshotRing keeps the ring alone, stats::StreamingMoments
+//    also the cross-products C = (n-1) S under O(np^2) add/retire sweeps,
+//    core::PairMoments C on the sharing pairs only.
 //
 // Dense consumers read S through a CovarianceView {c, scale}: S_ij =
 // c(i, j) * scale.  The batch source hands out its materialised S with
-// scale 1.0 (exact); the streaming one hands out C with scale 1/(n-1),
-// so no second np x np buffer ever holds S.  Consumers that need no S at
-// all — the keep-all closed form — read the snapshots behind it through
-// snapshots() instead.
+// scale 1.0 (exact); StreamingMoments hands out C with scale 1/(n-1), so
+// no second np x np buffer ever holds S.  The keep-all closed form needs
+// no S at all: it reads the snapshots through snapshots(), which the batch
+// source and every window accumulator serve.
 #pragma once
 
 #include <algorithm>
@@ -65,7 +66,7 @@ struct CovarianceView {
 /// Thread-safety contract for implementations: all methods here are
 /// logically const reads and must be safe to call concurrently *after*
 /// view() has been called once; mutating operations (e.g.
-/// StreamingMoments::push) are single-writer and must not overlap reads.
+/// WindowAccumulator::push) are single-writer and must not overlap reads.
 class CovarianceSource {
  public:
   virtual ~CovarianceSource() = default;
@@ -76,7 +77,8 @@ class CovarianceSource {
   [[nodiscard]] virtual std::size_t count() const = 0;
 
   /// Unbiased sample covariance between coordinates i and j.  Requires
-  /// count() >= 2.
+  /// count() >= 2; sources that keep no covariances (stats::SnapshotRing)
+  /// throw std::logic_error.
   [[nodiscard]] virtual double covariance(std::size_t i, std::size_t j) const = 0;
 
   /// Dense view of the full dim() x dim() covariance matrix S.  The first
@@ -85,7 +87,7 @@ class CovarianceSource {
   [[nodiscard]] virtual CovarianceView view() const = 0;
 
   /// True when view() is available without significant computation
-  /// (streaming accumulators maintain C; batch sources compute S lazily).
+  /// (StreamingMoments maintains C; batch sources compute S lazily).
   /// Consumers use this to pick between view reads and covariance().
   [[nodiscard]] virtual bool view_is_cheap() const = 0;
 
@@ -127,7 +129,7 @@ class CovarianceSource {
 };
 
 /// Per-dimension activation bookkeeping shared by the churn-aware
-/// accumulators (stats::StreamingMoments, core::PairMoments).  The
+/// accumulators (through stats::SlidingWindow).  The
 /// readiness rule is load-bearing for batch/streaming parity and lives
 /// only here: a dimension's statistics are valid for
 /// min(pushes - activated_at, window_count) trailing samples, and a pair

@@ -1,8 +1,10 @@
 #include "stats/sliding_window.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "io/checkpoint.hpp"
+#include "io/checkpoint_tags.hpp"
 
 namespace losstomo::stats {
 
@@ -115,5 +117,50 @@ SlidingWindow SlidingWindow::restore_state(io::CheckpointReader& reader) const {
   std::copy(ring.begin(), ring.end(), parsed.ring_.sample(0).data());
   return parsed;
 }
+
+void SnapshotRing::push(std::span<const double> y) {
+  window_.push(y, [](double, double) {}, [this] { window_.refresh_means(); });
+}
+
+void SnapshotRing::save_state(io::CheckpointWriter& writer) const {
+  writer.begin_section(io::tags::kSnapshotRing);
+  writer.usize(window_.dim());
+  writer.usize(window_.window());
+  window_.save_state(writer);
+  writer.end_section();
+}
+
+void SnapshotRing::restore_state(io::CheckpointReader& reader) {
+  reader.expect_section(io::tags::kSnapshotRing);
+  const std::size_t dim = reader.usize();
+  const std::size_t window = reader.usize();
+  if (dim != window_.dim() || window != window_.window()) {
+    throw io::CheckpointError(
+        io::CheckpointErrorKind::kMismatch,
+        "snapshot ring shape " + std::to_string(dim) + "x" +
+            std::to_string(window) + ", expected " +
+            std::to_string(window_.dim()) + "x" +
+            std::to_string(window_.window()));
+  }
+  SlidingWindow parsed = window_.restore_state(reader);
+  reader.end_section();
+  window_ = std::move(parsed);
+}
+
+namespace {
+
+[[noreturn]] void no_cross_products() {
+  throw std::logic_error(
+      "SnapshotRing keeps no cross-products; the keep-all closed form reads "
+      "snapshots()");
+}
+
+}  // namespace
+
+double SnapshotRing::covariance(std::size_t, std::size_t) const {
+  no_cross_products();
+}
+
+CovarianceView SnapshotRing::view() const { no_cross_products(); }
 
 }  // namespace losstomo::stats

@@ -12,7 +12,7 @@ namespace losstomo::stats {
 
 StreamingMoments::StreamingMoments(std::size_t dim,
                                    StreamingMomentsOptions options)
-    : window_(dim, options), cross_(dim, dim) {}
+    : WindowAccumulator(dim, options), cross_(dim, dim) {}
 
 std::size_t StreamingMoments::add_paths(std::size_t count) {
   const std::size_t dim = window_.dim();
@@ -61,13 +61,6 @@ void StreamingMoments::fold(double wr, double wa) {
 void StreamingMoments::push(std::span<const double> y) {
   window_.push(y, [this](double wr, double wa) { fold(wr, wa); },
                [this] { refresh(); });
-}
-
-void StreamingMoments::push_block(std::span<const double> values,
-                                  std::size_t rows) {
-  window_.push_block(values, rows,
-                     [this](double wr, double wa) { fold(wr, wa); },
-                     [this] { refresh(); });
 }
 
 void StreamingMoments::refresh() {

@@ -2,8 +2,8 @@
 // snapshot window, through the same closed-form kernel the batch learner
 // runs.  So LiaMonitor must equal BatchRelearnOracle exactly — loss and
 // variances, bit for bit — on every diagnosed tick: at any thread count,
-// across drift refreshes of the accumulator, and after a save/restore in
-// mid-run.
+// across drift refreshes of the window, and after a save/restore in
+// mid-run, whose image holds the snapshot ring and no cross-products.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -47,7 +47,12 @@ TEST(KeepAllExact, MonitorEqualsBatchOracleBitForBit) {
         // Kill the monitor and resume from its checkpoint image.
         io::CheckpointWriter writer;
         monitor->save_state(writer);
-        auto reader = io::CheckpointReader::from_bytes(writer.finish());
+        auto image = writer.finish();
+        // The keep-all accumulator is the snapshot ring: no np x np
+        // cross-product matrix rides in the image.
+        const std::size_t np = rrm.matrix().rows();
+        EXPECT_LT(image.size(), np * np * sizeof(double));
+        auto reader = io::CheckpointReader::from_bytes(std::move(image));
         monitor.emplace(rrm.matrix(), options);
         monitor->restore_state(reader);
       }

@@ -1,6 +1,8 @@
 // LiaMonitor against a call-for-call rebuild of its tick from the public
-// layer functions (the way perfbench/src/traced.cpp times it): a dense
-// stats::StreamingMoments window, core::StreamingNormalEquations, then
+// layer functions (the way perfbench/src/traced.cpp times it): the
+// accumulator the policy picks (stats::SnapshotRing under keep-all, the
+// dense stats::StreamingMoments under drop-negative),
+// core::StreamingNormalEquations, then
 // Lia::adopt / Lia::infer while no path has churned and
 // eliminate_low_variance_links / infer_snapshot_losses on the active-row
 // submatrix from the first churn on.  The monitor runs one Phase-1/Phase-2
@@ -8,6 +10,7 @@
 // rebuild's and the factor-cache counters equal.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,9 +32,7 @@ class LayerRebuild {
       : options_(options),
         r_(r),
         lia_(r_, options_.lia),
-        acc_(r_.rows(), {.window = options_.window,
-                         .refresh_every = options_.refresh_every,
-                         .threads = options_.lia.variance.threads}),
+        acc_(make_accumulator(r_.rows(), options_)),
         equations_(r_, options_.lia.variance),
         active_(r_.rows(), 1) {}
 
@@ -41,9 +42,9 @@ class LayerRebuild {
     active_[path] = active ? 1 : 0;
     equations_.set_path_live(path, active);
     if (active) {
-      acc_.activate_path(path);
+      acc_->activate_path(path);
     } else {
-      acc_.retire_path(path);
+      acc_->retire_path(path);
     }
   }
 
@@ -53,13 +54,13 @@ class LayerRebuild {
     active_.resize(r_.rows(), 1);
     equations_.grow_links(0);
     equations_.add_paths(r_, rows.size());
-    acc_.add_paths(rows.size());
+    acc_->add_paths(rows.size());
   }
 
   std::optional<LossInference> observe(std::span<const double> y) {
     std::optional<LossInference> result;
-    if (acc_.count() == options_.window) {
-      equations_.refresh(acc_);
+    if (acc_->count() == options_.window) {
+      equations_.refresh(*acc_);
       VarianceEstimate estimate = equations_.solve();
       if (!churn_) {
         lia_.adopt(std::move(estimate));
@@ -79,7 +80,7 @@ class LayerRebuild {
         result = infer_snapshot_losses(active_r, elimination, y_active);
       }
     }
-    acc_.push(y);
+    acc_->push(y);
     return result;
   }
 
@@ -88,10 +89,22 @@ class LayerRebuild {
   }
 
  private:
+  static std::unique_ptr<stats::WindowAccumulator> make_accumulator(
+      std::size_t paths, const MonitorOptions& options) {
+    const stats::StreamingMomentsOptions window{
+        .window = options.window,
+        .refresh_every = options.refresh_every,
+        .threads = options.lia.variance.threads};
+    if (options.lia.variance.negatives == NegativeCovariancePolicy::kKeep) {
+      return std::make_unique<stats::SnapshotRing>(paths, window);
+    }
+    return std::make_unique<stats::StreamingMoments>(paths, window);
+  }
+
   MonitorOptions options_;
   linalg::SparseBinaryMatrix r_;
   Lia lia_;
-  stats::StreamingMoments acc_;
+  std::unique_ptr<stats::WindowAccumulator> acc_;
   StreamingNormalEquations equations_;
   std::vector<std::uint8_t> active_;
   bool churn_ = false;

@@ -15,6 +15,7 @@
 #include "core/sharing_pairs.hpp"
 #include "core/variance_estimator.hpp"
 #include "io/checkpoint.hpp"
+#include "io/checkpoint_tags.hpp"
 #include "net/routing_matrix.hpp"
 #include "sim/probe_sim.hpp"
 #include "stats/moments.hpp"
@@ -128,6 +129,52 @@ TEST(CheckpointRoundTrip, StreamingMomentsRejectsDimensionMismatch) {
   }
   stats::StreamingMoments other_window(6, {.window = 9});
   EXPECT_THROW(restore_from_image(other_window, image), CheckpointError);
+}
+
+// Ring sections cut short or inconsistent are refused with a typed error,
+// and the target ring keeps its own state.
+TEST(CheckpointRoundTrip, SnapshotRingRejectsDamagedSections) {
+  const std::size_t dim = 6;
+  const stats::StreamingMomentsOptions options{.window = 8};
+  const auto stream = make_stream(12, 61);
+  enum class Damage { kAfterShape, kAfterLedger, kShortRing };
+  for (const Damage damage :
+       {Damage::kAfterShape, Damage::kAfterLedger, Damage::kShortRing}) {
+    CheckpointWriter writer;
+    writer.begin_section(tags::kSnapshotRing);
+    writer.usize(dim);
+    writer.usize(options.window);
+    if (damage != Damage::kAfterShape) {
+      stats::PathChurnLedger(dim).save_state(writer);
+    }
+    if (damage == Damage::kShortRing) {
+      writer.doubles(std::vector<double>(dim, 0.5));  // one row, not eight
+      for (int k = 0; k < 5; ++k) writer.usize(0);  // cursors, counters
+      writer.doubles(std::vector<double>(dim, 0.0));  // means
+    }
+    writer.end_section();
+
+    stats::SnapshotRing target(dim, options);
+    for (const auto& y : stream) target.push(y);
+    const auto before = image_of(target);
+    try {
+      restore_from_image(target, writer.finish());
+      FAIL() << "accepted a damaged ring section";
+    } catch (const CheckpointError& e) {
+      EXPECT_TRUE(e.kind() == CheckpointErrorKind::kTruncated ||
+                  e.kind() == CheckpointErrorKind::kCorrupt)
+          << e.what();
+    }
+    EXPECT_EQ(image_of(target), before);
+  }
+  // A ring of another shape is a mismatch, not damage.
+  stats::SnapshotRing other(dim + 1, options);
+  try {
+    restore_from_image(other, image_of(stats::SnapshotRing(dim, options)));
+    FAIL() << "accepted a ring of another dimension";
+  } catch (const CheckpointError& e) {
+    EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+  }
 }
 
 TEST(CheckpointRoundTrip, SharingPairStoreAndPairMomentsRoundTrip) {
@@ -301,6 +348,66 @@ TEST(CheckpointRoundTrip, MonitorStreamingDenseContinuesBitIdentically) {
 
 TEST(CheckpointRoundTrip, MonitorSharingPairsContinuesBitIdentically) {
   monitor_roundtrip_case(core::CovarianceAccumulator::kSharingPairs);
+}
+
+core::MonitorOptions keep_all_options() {
+  core::MonitorOptions options;
+  options.window = 10;
+  options.refresh_every = 13;  // drift refreshes on both sides of the save
+  options.lia.variance.negatives = core::NegativeCovariancePolicy::kKeep;
+  return options;
+}
+
+TEST(CheckpointRoundTrip, MonitorKeepAllRingContinuesBitIdentically) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto options = keep_all_options();
+  const auto stream = make_stream(5 * options.window, 271);
+
+  core::LiaMonitor original(rrm.matrix(), options);
+  for (std::size_t l = 0; l < 2 * options.window + 4; ++l) {
+    (void)original.observe(stream[l]);
+  }
+  const auto image = image_of(original);
+  core::LiaMonitor restored(rrm.matrix(), options);
+  restore_from_image(restored, image);
+  EXPECT_EQ(image_of(restored), image);
+
+  for (std::size_t l = 2 * options.window + 4; l < stream.size(); ++l) {
+    const auto a = original.observe(stream[l]);
+    const auto b = restored.observe(stream[l]);
+    ASSERT_TRUE(a.has_value() && b.has_value()) << "tick " << l;
+    EXPECT_EQ(a->loss, b->loss) << "tick " << l;
+    EXPECT_EQ(original.variances().v, restored.variances().v) << "tick " << l;
+  }
+  EXPECT_EQ(image_of(restored), image_of(original));
+  EXPECT_EQ(restored.streaming_equations().refactorizations(),
+            original.streaming_equations().refactorizations());
+}
+
+TEST(CheckpointRoundTrip, MonitorKeepAllImageRejectedByDropNegative) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto options = keep_all_options();
+  const auto stream = make_stream(2 * options.window, 556);
+  core::LiaMonitor keep_all(rrm.matrix(), options);
+  for (const auto& y : stream) (void)keep_all.observe(y);
+  const auto image = image_of(keep_all);
+
+  for (const auto acc : {core::CovarianceAccumulator::kDense,
+                         core::CovarianceAccumulator::kSharingPairs}) {
+    auto other = monitor_options(acc);
+    other.refresh_every = options.refresh_every;
+    core::LiaMonitor target(rrm.matrix(), other);
+    try {
+      restore_from_image(target, image);
+      FAIL() << "a drop-negative monitor accepted a keep-all image";
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kMismatch);
+    }
+    for (const auto& y : stream) (void)target.observe(y);
+    EXPECT_TRUE(target.warmed_up());
+  }
 }
 
 TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {

@@ -1,7 +1,6 @@
 // Ingestion pipeline semantics and the binary-vs-text parity contract:
 // every element transforms exactly as documented, the convert round trip
-// is bit-identical in both directions, the blocked accumulator folds are
-// state-identical to per-row pushes, and a monitor fed zero-copy off the
+// is bit-identical in both directions, and a monitor fed zero-copy off the
 // mmap produces bit-identical inferences to the classic text loop at 1, 2,
 // and 8 threads — factorization counters included.
 #include "io/pipeline.hpp"
@@ -17,12 +16,9 @@
 #include <vector>
 
 #include "core/monitor.hpp"
-#include "core/pair_moments.hpp"
-#include "core/sharing_pairs.hpp"
 #include "io/trace_io.hpp"
 #include "sim/probe_sim.hpp"
 #include "stats/rng.hpp"
-#include "stats/streaming.hpp"
 #include "test_util.hpp"
 
 namespace losstomo::io {
@@ -160,68 +156,6 @@ TEST(Pipeline, TextSnapshotSinkRejectsLogStreams) {
   EXPECT_THROW(sink.push({.values = y, .rows = 1, .paths = 1,
                           .log_transformed = true}),
                std::logic_error);
-}
-
-// -- Blocked accumulator folds ----------------------------------------------
-
-TEST(Pipeline, StreamingMomentsPushBlockMatchesPerRowPushes) {
-  const std::size_t np = 12, ticks = 37;
-  stats::Rng rng(23);
-  std::vector<double> flat(np * ticks);
-  for (auto& v : flat) v = std::log(std::max(rng.uniform(), 1e-9));
-  const stats::StreamingMomentsOptions options{.window = 9};
-  stats::StreamingMoments per_row(np, options);
-  stats::StreamingMoments blocked(np, options);
-  for (std::size_t t = 0; t < ticks; ++t) {
-    per_row.push(std::span(flat).subspan(t * np, np));
-  }
-  // Deliberately ragged block sizes, crossing window wraps and refreshes.
-  std::size_t at = 0;
-  for (const std::size_t rows : {1u, 7u, 2u, 13u, 9u, 5u}) {
-    blocked.push_block(std::span(flat).subspan(at * np, rows * np), rows);
-    at += rows;
-  }
-  ASSERT_EQ(at, ticks);
-  EXPECT_EQ(per_row.pushes(), blocked.pushes());
-  EXPECT_EQ(per_row.refreshes(), blocked.refreshes());
-  for (std::size_t i = 0; i < np; ++i) {
-    EXPECT_EQ(per_row.means()[i], blocked.means()[i]);
-    for (std::size_t j = 0; j < np; ++j) {
-      EXPECT_EQ(per_row.covariance(i, j), blocked.covariance(i, j));
-    }
-  }
-  EXPECT_THROW(blocked.push_block(std::span(flat).subspan(0, np + 1), 1),
-               std::invalid_argument);
-}
-
-TEST(Pipeline, PairMomentsPushBlockMatchesPerRowPushes) {
-  stats::Rng mesh_rng(31);
-  const auto mesh = losstomo::testing::make_random_mesh(30, 10, mesh_rng);
-  const net::ReducedRoutingMatrix rrm(mesh.topo.graph, mesh.paths);
-  const auto& r = rrm.matrix();
-  const std::size_t np = r.rows();
-  auto store = std::make_shared<core::SharingPairStore>(
-      core::SharingPairStore::build(r));
-  const stats::StreamingMomentsOptions options{.window = 8};
-  core::PairMoments per_row(store, np, options);
-  core::PairMoments blocked(store, np, options);
-  stats::Rng rng(77);
-  const std::size_t ticks = 21;
-  std::vector<double> flat(np * ticks);
-  for (auto& v : flat) v = std::log(std::max(rng.uniform(), 1e-9));
-  for (std::size_t t = 0; t < ticks; ++t) {
-    per_row.push(std::span(flat).subspan(t * np, np));
-  }
-  std::size_t at = 0;
-  for (const std::size_t rows : {4u, 1u, 11u, 5u}) {
-    blocked.push_block(std::span(flat).subspan(at * np, rows * np), rows);
-    at += rows;
-  }
-  ASSERT_EQ(at, ticks);
-  EXPECT_EQ(per_row.pushes(), blocked.pushes());
-  for (std::size_t p = 0; p < store->pair_count(); ++p) {
-    EXPECT_EQ(per_row.pair_covariance(p), blocked.pair_covariance(p));
-  }
 }
 
 // -- Conversion round trips --------------------------------------------------

@@ -57,15 +57,20 @@ core::NormalEquations accumulate_closed_form_reference(
     for (std::size_t i = 0; i < y.dim(); ++i) path_var[i] += row[i] * row[i];
   }
   for (auto& v : path_var) v /= static_cast<double>(m - 1);
+  // Each square is stored before it is summed, so it is rounded on its own
+  // whether or not the compiler contracts multiply-adds (the production
+  // kernel stores its squares the same way).
+  linalg::Vector squares(m);
   for (std::size_t k = 0; k < nc; ++k) {
     const auto& paths = column_paths[k];
-    double full_sum = 0.0;
     for (std::size_t l = 0; l < m; ++l) {
       const auto row = y.sample(l);
       double s = 0.0;
       for (const auto i : paths) s += row[i];
-      full_sum += s * s;
+      squares[l] = s * s;
     }
+    double full_sum = 0.0;
+    for (const double square : squares) full_sum += square;
     full_sum /= static_cast<double>(m - 1);
     double diag = 0.0;
     for (const auto i : paths) diag += path_var[i];

@@ -343,5 +343,40 @@ TEST(Failover, ScriptedRestoreOfForeignTickIsRefused) {
   std::remove(file.c_str());
 }
 
+std::vector<std::uint8_t> runner_image(const ScenarioRunner& runner) {
+  io::CheckpointWriter writer;
+  runner.save_state(writer);
+  return writer.finish();
+}
+
+TEST(Failover, ShippedScenarioImagesMatchAcrossKillAndRestore) {
+  // The runner image holds state only (no wall-clock timings), so a run
+  // killed mid-way and restored into a fresh runner ends with the same
+  // bytes as the uninterrupted run of every shipped scenario.
+  for (const char* name : {"failover", "flapping_mesh", "growing_overlay",
+                           "mass_growth", "regime_shift", "stable_tree"}) {
+    auto spec = io::load_scenario(std::string(LOSSTOMO_SOURCE_DIR) +
+                                  "/scenarios/" + name + ".scn");
+    const std::string file =
+        losstomo::testing::scratch_file(std::string(name) + "_image.ckpt");
+    for (auto& event : spec.events) {
+      if (!event.file.empty()) event.file = file;
+    }
+    ScenarioRunner uninterrupted(spec);
+    while (uninterrupted.ticks_run() < spec.ticks) (void)uninterrupted.step();
+
+    std::optional<ScenarioRunner> resumed(std::in_place, spec);
+    while (resumed->ticks_run() < spec.ticks / 2) (void)resumed->step();
+    auto reader = io::CheckpointReader::from_bytes(runner_image(*resumed));
+    resumed.emplace(spec);
+    resumed->restore_state(reader);
+    while (resumed->ticks_run() < spec.ticks) (void)resumed->step();
+
+    // Compared whole, not printed: the images run to megabytes.
+    EXPECT_TRUE(runner_image(*resumed) == runner_image(uninterrupted)) << name;
+    std::remove(file.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace losstomo::scenario

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 
@@ -168,6 +169,59 @@ TEST(StreamingMoments, RejectsBadConfigAndInput) {
   acc.push(linalg::Vector{1.0, 2.0, 3.0});
   EXPECT_THROW(static_cast<void>(acc.covariance(0, 0)), std::logic_error);
   EXPECT_THROW(static_cast<void>(acc.view()), std::logic_error);
+}
+
+// The keep-all ring keeps the dense accumulator's window push for push —
+// ring, cursors, means, refresh cadence, churn ledger, growth — and no
+// cross-products.
+TEST(SnapshotRing, KeepsTheStreamingMomentsWindow) {
+  const auto stream = make_stream(40, 17);
+  const StreamingMomentsOptions options{.window = 7, .refresh_every = 9};
+  StreamingMoments dense(kDim, options);
+  SnapshotRing ring(kDim, options);
+  const auto expect_same_window = [&](std::size_t t) {
+    const SnapshotWindow a = dense.snapshots();
+    const SnapshotWindow b = ring.snapshots();
+    ASSERT_EQ(a.dim, b.dim) << t;
+    EXPECT_EQ(a.count, b.count) << t;
+    EXPECT_EQ(a.head, b.head) << t;
+    EXPECT_TRUE(std::equal(a.ring.begin(), a.ring.end(), b.ring.begin(),
+                           b.ring.end()))
+        << t;
+    EXPECT_EQ(dense.means(), ring.means()) << t;
+    EXPECT_EQ(dense.refreshes(), ring.refreshes()) << t;
+    for (std::size_t i = 0; i < a.dim; ++i) {
+      EXPECT_EQ(dense.samples(i), ring.samples(i)) << t;
+    }
+  };
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    if (t == 12) {
+      dense.retire_path(2);
+      ring.retire_path(2);
+    }
+    if (t == 15) {
+      dense.activate_path(2);
+      ring.activate_path(2);
+    }
+    auto y = stream[t];
+    if (t >= 25) {
+      if (t == 25) {
+        EXPECT_EQ(dense.add_paths(2), kDim);
+        EXPECT_EQ(ring.add_paths(2), kDim);
+      }
+      y.push_back(0.25 * y[0]);
+      y.push_back(-0.5 * y[1]);
+    }
+    dense.push(y);
+    ring.push(y);
+    expect_same_window(t);
+  }
+  EXPECT_GT(ring.refreshes(), 2u);
+  EXPECT_FALSE(ring.view_is_cheap());
+  EXPECT_THROW(static_cast<void>(ring.view()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(ring.covariance(0, 1)), std::logic_error);
+  EXPECT_THROW(ring.push(linalg::Vector(kDim, 0.0)), std::invalid_argument);
+  EXPECT_THROW(SnapshotRing(3, {.window = 1}), std::invalid_argument);
 }
 
 }  // namespace
