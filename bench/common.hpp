@@ -69,38 +69,6 @@ class JsonReport {
   std::vector<std::pair<std::string, std::string>> entries_;  // insertion order
 };
 
-/// Standardised `threads=1,2,8` sweep for JsonReport benches: runs the
-/// callback once per requested worker count with the library default
-/// (util::set_default_threads) pinned for the duration, so a multi-core
-/// re-record of a bench is one command instead of N LOSSTOMO_THREADS
-/// invocations.  The callback receives (threads, key_suffix); the suffix
-/// is empty for a single-entry sweep (the default `threads=0` = library
-/// default keeps every existing key name unchanged) and "_t<N>" per entry
-/// otherwise, so one JSON report carries the whole sweep.
-class ThreadSweep {
- public:
-  explicit ThreadSweep(const util::Args& args)
-      : counts_(args.get_ints("threads", {0})) {
-    if (counts_.empty()) counts_ = {0};
-  }
-
-  template <typename Fn>
-  void run(Fn&& fn) const {
-    for (const int t : counts_) {
-      const std::size_t threads = t <= 0 ? 0 : static_cast<std::size_t>(t);
-      util::set_default_threads(threads);
-      fn(threads,
-         counts_.size() == 1 ? std::string() : "_t" + std::to_string(t));
-    }
-    util::set_default_threads(0);
-  }
-
-  [[nodiscard]] const std::vector<int>& counts() const { return counts_; }
-
- private:
-  std::vector<int> counts_;
-};
-
 /// Runs `trials` independent evaluations concurrently on the thread pool.
 /// fn(trial, seed) receives a SplitMix64-decorrelated per-trial seed, so
 /// the result set depends only on `seed` — not on the thread count or on

@@ -6,6 +6,14 @@
 
 namespace losstomo::core {
 
+namespace {
+
+// Relative tolerance for the dependence test (residual^2 vs column norm^2;
+// Gram entries are path counts, so this is essentially exact).
+constexpr double kRankTol = 1e-9;
+
+}  // namespace
+
 Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
                                          std::span<const double> variances,
                                          const EliminationOptions& options) {
@@ -16,7 +24,7 @@ Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
   const linalg::CoTraversalGram gram(r);
 
   Elimination result;
-  result.factor = linalg::IncrementalCholesky(options.rank_tol);
+  result.factor = linalg::IncrementalCholesky(kRankTol);
   result.order.resize(nc);
   std::iota(result.order.begin(), result.order.end(), 0u);
   std::stable_sort(result.order.begin(), result.order.end(),

@@ -24,9 +24,6 @@
 namespace losstomo::core {
 
 struct EliminationOptions {
-  /// Relative tolerance for the dependence test (residual^2 vs column
-  /// norm^2; Gram entries are path counts, so this is essentially exact).
-  double rank_tol = 1e-9;
   /// Paper behaviour: stop at the first dependent column (minimal prefix
   /// removal in variance order).  When false, continue scanning and admit
   /// any later independent columns (greedy maximal set; ablation only).

@@ -41,8 +41,9 @@ struct IdentifiabilityReport {
 /// it scales to large path sets (A is never materialised).  Complexity:
 /// O(nc^3) for the rank-revealing factorizations of the nc x nc Gram
 /// matrices (independent of the path count beyond forming N = R^T R).
-/// Pure function; safe to call concurrently.
+/// Ranks are decided with a relative pivot tolerance of 1e-9.  Pure
+/// function; safe to call concurrently.
 IdentifiabilityReport analyze_identifiability(
-    const linalg::SparseBinaryMatrix& r, double rank_tol = 1e-9);
+    const linalg::SparseBinaryMatrix& r);
 
 }  // namespace losstomo::core

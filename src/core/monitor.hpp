@@ -32,13 +32,14 @@
 // preceding snapshots, then Phase 2 on snapshot m+1 — to <= 1e-10; the
 // test oracle losstomo::testing::BatchRelearnOracle
 // (tests/batch_oracle.hpp) reruns that procedure from scratch every
-// relearn and pins the parity (bench/monitor_streaming records it too).
+// relearn and pins the parity.
 // Under drop-negative a pair covariance within the accumulator's drift of
 // zero can resolve its drop decision differently than a from-scratch
 // relearn (the policy is discontinuous at cov = 0; keep-all has no such
-// boundary).  VarianceMethod::kDenseQr needs the materialised batch
-// system and is rejected at construction; it stays available through
-// Lia::learn / estimate_link_variances.
+// boundary).  The monitor solves with VarianceMethod::kAuto / kNormal
+// only: kDenseQr (which needs the materialised batch system) and kNnls are
+// rejected at construction; both stay available through Lia::learn /
+// estimate_link_variances.
 //
 // Path churn (scenario engine, src/scenario/): the monitored overlay may
 // evolve mid-run — paths join, leave, change routes, and arrive in mass-
@@ -132,12 +133,12 @@ class LiaMonitor {
  public:
   /// Takes the routing matrix by value (owned), so constructing from a
   /// temporary is safe.  Throws std::invalid_argument for window < 2,
-  /// relearn_every == 0, VarianceMethod::kDenseQr, or an inconsistent
-  /// accumulator configuration.  Keep-all configurations assemble G here
-  /// (O(nc^2)); drop-negative with the dense accumulator defers its
-  /// sharing-pair store to the first relearn tick, while kSharingPairs
-  /// builds it here (the accumulator indexes it from the first snapshot
-  /// on).
+  /// relearn_every == 0, VarianceMethod::kDenseQr or kNnls, or an
+  /// inconsistent accumulator configuration.  Keep-all configurations
+  /// assemble G here (O(nc^2)); drop-negative with the dense accumulator
+  /// defers its sharing-pair store to the first relearn tick, while
+  /// kSharingPairs builds it here (the accumulator indexes it from the
+  /// first snapshot on).
   explicit LiaMonitor(linalg::SparseBinaryMatrix r, MonitorOptions options = {});
   LiaMonitor(LiaMonitor&&);
   LiaMonitor& operator=(LiaMonitor&&);

@@ -143,8 +143,7 @@ class SharingPairStore {
   [[nodiscard]] std::size_t shared_link_entries() const {
     return links_.size();
   }
-  /// Heap bytes held by the store (capacity-based; the figure recorded by
-  /// bench_monitor_streaming for the large-overlay scenario).
+  /// Heap bytes held by the store (capacity-based).
   [[nodiscard]] std::size_t bytes() const;
 
   /// Pair index range [first, second) whose first path is i.

@@ -501,10 +501,11 @@ StreamingNormalEquations::StreamingNormalEquations(
       np_(r.rows()),
       nc_(r.cols()),
       drop_negative_(resolve_negative_policy(options, r.rows())) {
-  if (options_.method == VarianceMethod::kDenseQr) {
+  if (options_.method == VarianceMethod::kDenseQr ||
+      options_.method == VarianceMethod::kNnls) {
     throw std::invalid_argument(
-        "StreamingNormalEquations does not support kDenseQr; use the batch "
-        "path");
+        "StreamingNormalEquations supports kAuto and kNormal only; use the "
+        "batch path for kDenseQr and kNnls");
   }
   sys_.g = linalg::Matrix(nc_, nc_);
   sys_.h.assign(nc_, 0.0);
@@ -901,20 +902,10 @@ VarianceEstimate StreamingNormalEquations::solve() {
   if (!refreshed_) {
     throw std::logic_error("StreamingNormalEquations::solve before refresh");
   }
-  VarianceMethod method = options_.method;
-  if (method == VarianceMethod::kAuto) method = VarianceMethod::kNormal;
   VarianceEstimate est;
   est.equations_used = sys_.used;
   est.equations_dropped = sys_.dropped;
   est.links_pinned = pins_active_;
-
-  if (method == VarianceMethod::kNnls) {
-    est.method = drop_negative_ ? "streaming-nnls(drop-negative)"
-                                : "streaming-nnls(keep-all)";
-    auto result = linalg::nnls_gram(sys_.g, sys_.h);
-    return finish(std::move(result.x), std::move(est));
-  }
-
   est.method = drop_negative_ ? "streaming-normal(drop-negative)"
                               : "streaming-normal(keep-all)";
   // Zero-coverage links are identity-pinned inside G, so a factor that

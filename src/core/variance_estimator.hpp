@@ -187,9 +187,9 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 /// clamped estimate as estimate_link_variances on an equal-valued source
 /// to refinement accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
 /// well-conditioned instances, and bit-identical on freshly refactorized
-/// ticks; methods kNormal and kNnls — the constructors throw
-/// std::invalid_argument for kDenseQr, whose callers must use the batch
-/// path).
+/// ticks; methods kAuto and kNormal only — the constructors throw
+/// std::invalid_argument for kDenseQr and kNnls, whose callers must use
+/// the batch path).
 ///
 /// Thread-safety: refresh() parallelizes internally (bit-identical at any
 /// VarianceOptions::threads); concurrent calls on one instance are not

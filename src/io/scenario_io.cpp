@@ -341,12 +341,4 @@ scenario::ScenarioSpec load_scenario(const std::string& file) {
   return read_scenario(is);
 }
 
-void save_scenario(const std::string& file,
-                   const scenario::ScenarioSpec& spec) {
-  std::ofstream os(file);
-  if (!os) throw std::runtime_error("cannot open for writing: " + file);
-  write_scenario(os, spec);
-  if (!os) throw std::runtime_error("write failed: " + file);
-}
-
 }  // namespace losstomo::io

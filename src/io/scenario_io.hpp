@@ -20,8 +20,7 @@ scenario::ScenarioSpec read_scenario(std::istream& is);
 /// Writes `spec` in the text format (round-trips through read_scenario).
 void write_scenario(std::ostream& os, const scenario::ScenarioSpec& spec);
 
-/// File-path conveniences; throw std::runtime_error on I/O failure.
+/// File-path convenience; throws std::runtime_error on I/O failure.
 scenario::ScenarioSpec load_scenario(const std::string& file);
-void save_scenario(const std::string& file, const scenario::ScenarioSpec& spec);
 
 }  // namespace losstomo::io

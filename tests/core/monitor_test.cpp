@@ -250,12 +250,14 @@ TEST(LiaMonitor, OwnsRoutingMatrixAcrossReconstruction) {
 // (Lia::learn still offers it).
 TEST(LiaMonitor, DenseQrConfigurationIsRejected) {
   const linalg::SparseBinaryMatrix r(2, {{0}, {1}});
-  MonitorOptions options{.window = 3};
-  options.lia.variance.method = VarianceMethod::kDenseQr;
-  EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
-  options.accumulator = CovarianceAccumulator::kSharingPairs;
-  options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
-  EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
+  for (const auto method : {VarianceMethod::kDenseQr, VarianceMethod::kNnls}) {
+    MonitorOptions options{.window = 3};
+    options.lia.variance.method = method;
+    EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
+    options.accumulator = CovarianceAccumulator::kSharingPairs;
+    options.lia.variance.negatives = NegativeCovariancePolicy::kDrop;
+    EXPECT_THROW(LiaMonitor(r, options), std::invalid_argument);
+  }
 }
 
 TEST(LiaMonitor, EndToEndOnSimulator) {

@@ -1,9 +1,9 @@
 // Scalar references of the Phase-1 covariance-system build, the baselines
 // the blocked/parallel kernels in core/variance_estimator.cpp are pinned
 // against (tests/core/variance_estimator_parity_test.cpp,
-// tests/core/augmented_matrix_test.cpp) and timed against
-// (bench/microbench_kernels.cpp).  They are the seed's sequential loops,
-// kept verbatim: per-pair O(m) covariance passes, serial accumulation.
+// tests/core/augmented_matrix_test.cpp).  They are the seed's sequential
+// loops, kept verbatim: per-pair O(m) covariance passes, serial
+// accumulation.
 #pragma once
 
 #include "core/variance_estimator.hpp"
