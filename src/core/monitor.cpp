@@ -24,11 +24,7 @@ struct LiaMonitor::Telemetry {
   obs::Registry* registry;
   // Deterministic counters (serialized engine state).
   obs::Counter* ticks;
-  obs::Counter* rank1_updates;
   obs::Counter* refactorizations;
-  obs::Counter* pin_updates;
-  obs::Counter* pcg_iterations;
-  obs::Counter* downdate_fallbacks;
   obs::Counter* links_grown;
   obs::Counter* pairs;
   // Deterministic gauges (point-in-time serialized state).
@@ -49,11 +45,7 @@ struct LiaMonitor::Telemetry {
   explicit Telemetry(obs::Registry& r)
       : registry(&r),
         ticks(&r.counter("monitor.ticks")),
-        rank1_updates(&r.counter("monitor.rank1_updates")),
         refactorizations(&r.counter("monitor.refactorizations")),
-        pin_updates(&r.counter("monitor.pin_updates")),
-        pcg_iterations(&r.counter("monitor.pcg_iterations")),
-        downdate_fallbacks(&r.counter("monitor.downdate_fallbacks")),
         links_grown(&r.counter("monitor.links_grown")),
         pairs(&r.counter("monitor.pairs")),
         paths(&r.gauge("monitor.paths")),
@@ -192,11 +184,7 @@ void LiaMonitor::publish_telemetry() {
   t.links->set(static_cast<double>(r_.cols()));
   t.active_paths->set(static_cast<double>(active_path_count()));
   t.window_fill->set(static_cast<double>(accumulator_->count()));
-  t.rank1_updates->set(equations_.rank1_updates());
   t.refactorizations->set(equations_.refactorizations());
-  t.pin_updates->set(equations_.pin_updates());
-  t.pcg_iterations->set(equations_.refine_iterations());
-  t.downdate_fallbacks->set(equations_.downdate_fallbacks());
   t.links_grown->set(equations_.links_grown());
   t.links_pinned->set(static_cast<double>(equations_.links_pinned()));
   t.pending_flips->set(static_cast<double>(equations_.pending_flips()));

@@ -14,18 +14,20 @@
 //
 // The relearn is incremental: one accumulator (stats::WindowAccumulator)
 // keeps the window, and a StreamingNormalEquations instance refreshes h
-// (and the sign-flipped parts of G) from it, re-using the cached Cholesky
-// factor while G is unchanged.  The policy picks the accumulator.  Under
-// keep-all, G never changes (the normal equations are factorized exactly
-// once) and h is the closed form over the window's snapshots, so the
+// (and the sign-flipped parts of G) from it.  The policy picks the
+// accumulator.  Under keep-all, G never changes (the normal equations are
+// factorized exactly once) and h is the closed form over the window's
+// snapshots, so the
 // accumulator is stats::SnapshotRing: the ring alone, O(np) per push.
 // Under drop-negative, h sums the non-negative pair covariances, kept
 // current under rank-1 add/retire updates by the dense
 // stats::StreamingMoments (full C, O(np^2) per tick) or the pair-indexed
 // core::PairMoments (sharing-pair entries only, O(np + pairs) per tick —
 // the configuration that scales drop-negative monitoring to
-// multi-thousand-path overlays), per MonitorOptions::accumulator.
-// Steady-state tick cost is independent of the window length.  Every
+// multi-thousand-path overlays), per MonitorOptions::accumulator, and
+// every relearn factorizes the exact integer G afresh through the batch
+// solve's tail.  Steady-state tick cost is independent of the window
+// length.  Every
 // observed snapshot enters the window regardless of relearn_every.
 //
 // The inferences match the paper's procedure — Lia::learn on the m
@@ -49,8 +51,8 @@
 // loop), and activated/retired (set_path_active), while the streaming
 // state carries over untouched for every unaffected path.  The *link*
 // universe can grow too: add_paths rows may reference fresh columns
-// (new_links), which enter identity-pinned through bordered growth of
-// the cached factor — no refactorization.
+// (new_links), which enter G as zero rows and columns, pinned to zero
+// variance by the solve until pair equations cover them.
 // A (re)joining path warms up for one full window before its pair
 // equations enter Phase 1 (exactly the warm-up the initial window
 // imposes), and every churn event forces a relearn at the next
@@ -153,7 +155,8 @@ class LiaMonitor {
   /// per tick: the accumulator update (O(np) keep-all ring, O(np^2) dense,
   /// O(np + pairs) pair-indexed) + the normal-equation refresh (the
   /// O(m·(np + nnz)) closed form under keep-all, proportional to the
-  /// sharing structure under drop-negative) + the cached-factor solve.
+  /// sharing structure under drop-negative) + the solve (O(nc^2) on the
+  /// keep-all factor, an O(nc^3 / 3) factorization under drop-negative).
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -198,9 +201,8 @@ class LiaMonitor {
   /// `rows[i]` lists path i's links as column indices
   /// < routing().cols() + new_links; indices >= routing().cols() denote
   /// FRESH virtual links, appended to the link universe in the same step
-  /// (bordered identity growth of the cached factor — fresh links enter
-  /// identity-pinned with no refactorization, and unpin through the usual
-  /// border steps once warmed pairs cover them).  All appended paths start
+  /// (fresh links have zero rows and columns in G and are pinned to zero
+  /// variance until warmed pairs cover them).  All appended paths start
   /// active with zero history.  Returns the first appended row's index.
   /// Throws std::invalid_argument on an empty batch or malformed rows,
   /// std::logic_error for configurations not resolving to drop-negative.
@@ -222,8 +224,8 @@ class LiaMonitor {
   [[nodiscard]] CovarianceAccumulator accumulator() const {
     return options_.accumulator;
   }
-  /// The incrementally maintained Phase-1 system, for factor-cache
-  /// diagnostics (refactorizations, rank-1 up/downdates, pair store size).
+  /// The incrementally maintained Phase-1 system, for diagnostics
+  /// (refactorizations, pinned links, pair store size).
   [[nodiscard]] const StreamingNormalEquations& streaming_equations() const {
     return equations_;
   }
@@ -236,7 +238,7 @@ class LiaMonitor {
   // save_state serializes the complete mutable monitor: the (possibly
   // grown) routing matrix, tick/relearn counters, the activation ledger,
   // the streaming stack (shared pair store, the accumulator's section,
-  // incrementally maintained normal equations with their cached factor),
+  // incrementally maintained normal equations, with the keep-all factor),
   // and the current Phase-1 estimate.  The Phase-2 elimination is NOT
   // serialized — it is a pure function of (active routing rows,
   // variances) and is recomputed on restore, bit-identically.
@@ -247,8 +249,8 @@ class LiaMonitor {
   // and throws io::CheckpointError(kMismatch) on disagreement.  All
   // payload is parsed and validated into temporaries before any member
   // changes, so a failed restore leaves the monitor fully usable.  A
-  // restored monitor resumes bit-identically and keeps its cached factor:
-  // zero refactorizations on resume.
+  // restored monitor resumes bit-identically; a keep-all one keeps its
+  // factor (no refactorization on resume).
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
 

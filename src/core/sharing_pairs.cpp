@@ -276,21 +276,4 @@ void SharingPairStore::restore_state(io::CheckpointReader& reader) {
   *this = std::move(tmp);
 }
 
-std::size_t SharingPairStore::bytes() const {
-  std::size_t total = row_offsets_.capacity() * sizeof(std::size_t) +
-                      partner_.capacity() * sizeof(std::uint32_t) +
-                      link_offsets_.capacity() * sizeof(std::size_t) +
-                      links_.capacity() * sizeof(std::uint32_t) +
-                      row_live_.capacity();
-  for (const auto& column : columns_) {
-    total += column.capacity() * sizeof(std::uint32_t);
-  }
-  total += columns_.capacity() * sizeof(std::vector<std::uint32_t>);
-  for (const auto& pairs : partner_pairs_) {
-    total += pairs.capacity() * sizeof(std::size_t);
-  }
-  total += partner_pairs_.capacity() * sizeof(std::vector<std::size_t>);
-  return total;
-}
-
 }  // namespace losstomo::core

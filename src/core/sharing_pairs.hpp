@@ -143,8 +143,6 @@ class SharingPairStore {
   [[nodiscard]] std::size_t shared_link_entries() const {
     return links_.size();
   }
-  /// Heap bytes held by the store (capacity-based).
-  [[nodiscard]] std::size_t bytes() const;
 
   /// Pair index range [first, second) whose first path is i.
   [[nodiscard]] std::size_t row_begin(std::size_t i) const {

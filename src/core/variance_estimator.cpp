@@ -1,8 +1,6 @@
 #include "core/variance_estimator.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <vector>
@@ -23,17 +21,6 @@ namespace {
 // (drop-negative) accumulation; beyond it the closed form (keep-all),
 // whose cost is independent of the number of path pairs.
 constexpr std::size_t kPairwisePathCap = 2000;
-
-// Streaming PCG refinement of a stale/drifted cached factor against the
-// exact integer-maintained G.  Residual target relative to ||h||_inf:
-// refinement stops once ||h - G v||_inf <= kRefineTolerance * ||h||_inf (a
-// recomputed true residual within 10x of the target is accepted).  A step
-// "contracts" when it multiplies the best residual seen by at most
-// kRefineContraction; kRefineStallWindow consecutive non-contracting steps
-// abort to the refactorization fallback.
-constexpr double kRefineTolerance = 1e-13;
-constexpr double kRefineContraction = 0.5;
-constexpr int kRefineStallWindow = 5;
 
 // Deterministic estimate of the pair-sharing structure: how many path
 // pairs share at least one link (fraction f) and how many links a sharing
@@ -495,6 +482,7 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                              drop_negative, options);
 }
 
+
 StreamingNormalEquations::StreamingNormalEquations(
     const linalg::SparseBinaryMatrix& r, const VarianceOptions& options)
     : options_(options),
@@ -515,19 +503,11 @@ StreamingNormalEquations::StreamingNormalEquations(
     const linalg::CoTraversalGram gram(r);
     sys_.g = augmented_normal_matrix(gram, options_.threads);
     sys_.used = pair_count(np_);
-    return;
   }
   // Drop-negative: defer the sharing-pair enumeration to the first
   // refresh() (lazy build keeps construction O(nnz) — just the copy
-  // above).  Every pair starts "dropped", so every link starts
-  // identity-pinned: G = I, and the first refresh folds the kept pairs in
-  // (and the pins out) through the flip path.
-  flip_scratch_.assign(nc_, 0.0);
-  coverage_.assign(nc_, 0);
-  pinned_in_g_.assign(nc_, 1);
-  pin_pending_mark_.assign(nc_, 0);
-  pins_active_ = nc_;
-  for (std::size_t a = 0; a < nc_; ++a) sys_.g(a, a) = 1.0;
+  // above).  Every pair starts "dropped", so G starts at zero and the
+  // first refresh folds the kept pairs in through the flip path.
 }
 
 StreamingNormalEquations::StreamingNormalEquations(
@@ -543,7 +523,6 @@ StreamingNormalEquations::StreamingNormalEquations(
   }
   pairs_ = std::move(store);
   pair_kept_.assign(pairs_->pair_count(), 0);
-  pending_mark_.assign(pairs_->pair_count(), 0);
   routing_.reset();
 }
 
@@ -552,81 +531,23 @@ void StreamingNormalEquations::ensure_store() {
   pairs_ = std::make_shared<SharingPairStore>(
       SharingPairStore::build(*routing_, options_.threads));
   pair_kept_.assign(pairs_->pair_count(), 0);
-  pending_mark_.assign(pairs_->pair_count(), 0);
   routing_.reset();
 }
 
-// Folds the flipped pairs into G (integer counts, so the order does not
+// Folds the flipped pairs into G: integer counts, so the order does not
 // matter and the result exactly matches a from-scratch accumulation over
-// the current kept set) and records each flip in the pending set the next
-// solve() reconciles the cached factor against.  A pair that flips back
-// before the factor caught up cancels out of the pending set entirely —
-// the saturation that lets the factor survive sign-flip storms.
+// the current kept set.
 void StreamingNormalEquations::apply_flips(
     const std::vector<std::size_t>& flips) {
   for (const std::size_t p : flips) {
     pair_kept_[p] ^= 1;
-    const bool now_kept = pair_kept_[p] != 0;
-    const double sign = now_kept ? 1.0 : -1.0;
+    const double sign = pair_kept_[p] != 0 ? 1.0 : -1.0;
     const auto links = pairs_->links(p);
     for (const auto a : links) {
       for (const auto b : links) sys_.g(a, b) += sign;
     }
-    // Kept-pair coverage per link: a link crossing zero coverage enters or
-    // leaves the identity-pinned state — an extra +/- e_a e_a^T on G that
-    // the factor absorbs as a rank-1 border step.
-    for (const auto a : links) {
-      if (now_kept) {
-        if (coverage_[a]++ == 0) {
-          sys_.g(a, a) -= 1.0;
-          pinned_in_g_[a] = 0;
-          --pins_active_;
-          note_pin_change(a);
-        }
-      } else {
-        if (--coverage_[a] == 0) {
-          sys_.g(a, a) += 1.0;
-          pinned_in_g_[a] = 1;
-          ++pins_active_;
-          note_pin_change(a);
-        }
-      }
-    }
-    if (pending_mark_[p]) {
-      // Net zero against the factor: drop from the pending set (the
-      // stale queue entry is skipped lazily when its mark is clear).
-      pending_mark_[p] = 0;
-      --pending_live_;
-    } else {
-      pending_mark_[p] = 1;
-      ++pending_live_;
-      pending_.push_back(p);
-    }
   }
-  // Compact cancelled entries: a sustained sign-flip storm re-queues each
-  // oscillating pair every other tick, and the stale-factor regime never
-  // drains the queue — without this the queue would grow with ticks, not
-  // with the live set.
-  if (pending_.size() > 2 * pending_live_ + 64) {
-    std::erase_if(pending_,
-                  [&](std::size_t p) { return pending_mark_[p] == 0; });
-  }
-  if (pin_pending_.size() > 2 * pin_pending_live_ + 64) {
-    std::erase_if(pin_pending_,
-                  [&](std::size_t a) { return pin_pending_mark_[a] == 0; });
-  }
-}
-
-void StreamingNormalEquations::note_pin_change(std::size_t link) {
-  if (pin_pending_mark_[link]) {
-    // Pinned and unpinned again before the factor caught up: net zero.
-    pin_pending_mark_[link] = 0;
-    --pin_pending_live_;
-  } else {
-    pin_pending_mark_[link] = 1;
-    ++pin_pending_live_;
-    pin_pending_.push_back(link);
-  }
+  flips_ += flips.size();
 }
 
 void StreamingNormalEquations::set_path_live(std::size_t path, bool live) {
@@ -683,7 +604,6 @@ void StreamingNormalEquations::add_paths(const linalg::SparseBinaryMatrix& r,
   pairs_->add_rows(r);
   // New pairs join dropped; they enter G through refresh() when ready.
   pair_kept_.resize(pairs_->pair_count(), 0);
-  pending_mark_.resize(pairs_->pair_count(), 0);
 }
 
 void StreamingNormalEquations::grow_links(std::size_t count) {
@@ -693,115 +613,23 @@ void StreamingNormalEquations::grow_links(std::size_t count) {
   }
   if (count == 0) return;
   const std::size_t nc = nc_ + count;
-  // Fresh links have no kept pair equation, so they join identity-pinned:
-  // G grows to diag(G, I) exactly.
+  // Fresh links have no kept pair equation: zero rows and columns.
   linalg::Matrix g(nc, nc);
   for (std::size_t i = 0; i < nc_; ++i) {
     const auto src = sys_.g.row(i);
     std::copy(src.begin(), src.end(), g.row(i).begin());
   }
-  for (std::size_t a = nc_; a < nc; ++a) g(a, a) = 1.0;
   sys_.g = std::move(g);
   sys_.h.resize(nc, 0.0);
-  flip_scratch_.resize(nc, 0.0);
-  coverage_.resize(nc, 0);
-  pinned_in_g_.resize(nc, 1);
-  pin_pending_mark_.resize(nc, 0);
-  pins_active_ += count;
   nc_ = nc;
   links_grown_ += count;
-  if (factor_ && !factor_dirty_) {
-    if (factor_->jitter_used() > 0.0) {
-      // A jittered factor represents G + j*I; its identity border would
-      // mismatch the exact unit diagonal of the grown G.  Rebuild instead.
-      factor_dirty_ = true;
-    } else {
-      // Bordered growth: the identity border extends the factor exactly —
-      // no refactorization, and pending flips stay reconcilable.
-      factor_->append_identity(count);
-    }
-  }
 }
 
-// Brings the cached factor up to date with G when the pending flip set
-// (pair flips + pin/unpin border steps) is small enough for rank-1 steps
-// to beat a refactorization.  Returns false when a downdate lost positive
-// definiteness (factor invalid).
-bool StreamingNormalEquations::reconcile_factor() {
-  const std::size_t cap = options_.factor_update_cap != 0
-                              ? options_.factor_update_cap
-                              : 4 * std::max<std::size_t>(nc_, 1);
-  // Each up/downdate costs up to O(nc^2); a refactorization O(nc^3 / 3).
-  // Past ~nc/4 pending flips (by default) the incremental path stops
-  // paying for itself — the factor then stays stale and solve() leans on
-  // iterative refinement instead.  Past the cumulative cap the drift
-  // bound wins.
-  const std::size_t stale_threshold = options_.factor_flip_threshold != 0
-                                          ? options_.factor_flip_threshold
-                                          : nc_ / 4 + 1;
-  const std::size_t pending_total = pending_live_ + pin_pending_live_;
-  if (pending_total > stale_threshold) return true;
-  if (factor_updates_ + pending_total > cap) {
-    factor_dirty_ = true;
-    return true;
-  }
-  bool ok = true;
-  // Additions before removals: a churn event retires whole batches of pair
-  // equations while pinning the links they uncovered (and vice versa on a
-  // join), and folding the updates in first keeps every intermediate
-  // matrix maximally positive definite, so matched update/downdate batches
-  // cannot transiently lose definiteness.
-  for (const bool add_pass : {true, false}) {
-    for (const std::size_t p : pending_) {
-      if (!pending_mark_[p]) continue;  // cancelled while queued
-      if ((pair_kept_[p] != 0) != add_pass) continue;
-      pending_mark_[p] = 0;
-      --pending_live_;
-      if (!ok) continue;  // factor already invalid; just drain the queue
-      const auto links = pairs_->links(p);
-      // The flip perturbs G by +/- e_S e_S^T with e_S the shared-link
-      // indicator — exactly one rank-1 step on the factor.
-      for (const auto l : links) flip_scratch_[l] = 1.0;
-      if (add_pass) {
-        factor_->update(flip_scratch_);
-      } else {
-        ok = factor_->downdate(flip_scratch_);
-      }
-      for (const auto l : links) flip_scratch_[l] = 0.0;
-      if (!ok) {
-        ++downdate_fallbacks_;
-        factor_dirty_ = true;
-        continue;
-      }
-      ++factor_updates_;
-      ++rank1_updates_;
-    }
-    for (const std::size_t a : pin_pending_) {
-      if (!pin_pending_mark_[a]) continue;
-      if ((pinned_in_g_[a] != 0) != add_pass) continue;
-      pin_pending_mark_[a] = 0;
-      --pin_pending_live_;
-      if (!ok) continue;
-      flip_scratch_[a] = 1.0;
-      if (add_pass) {
-        factor_->update(flip_scratch_);
-      } else {
-        ok = factor_->downdate(flip_scratch_);
-      }
-      flip_scratch_[a] = 0.0;
-      if (!ok) {
-        ++downdate_fallbacks_;
-        factor_dirty_ = true;
-        continue;
-      }
-      ++factor_updates_;
-      ++rank1_updates_;
-      ++pin_updates_;
-    }
-  }
-  pending_.clear();
-  pin_pending_.clear();
-  return ok;
+std::size_t StreamingNormalEquations::links_pinned() const {
+  if (!drop_negative_) return 0;
+  std::size_t pinned = 0;
+  for (std::size_t a = 0; a < nc_; ++a) pinned += sys_.g(a, a) == 0.0;
+  return pinned;
 }
 
 const NormalEquations& StreamingNormalEquations::refresh(
@@ -902,160 +730,28 @@ VarianceEstimate StreamingNormalEquations::solve() {
   if (!refreshed_) {
     throw std::logic_error("StreamingNormalEquations::solve before refresh");
   }
+  flips_ = 0;
+  if (drop_negative_) {
+    ++refactorizations_;
+    // G and h are what a batch accumulation over the kept pairs gives, so
+    // the batch tail solves them: pins, pivot floor, jitter ladder and
+    // rank-revealing fallback included.
+    VarianceEstimate est = solve_normal_system(sys_, VarianceMethod::kNormal,
+                                               true, options_);
+    est.method = "streaming-" + est.method;
+    return est;
+  }
+  // Keep-all: G never changes, so its factor is computed once.
+  if (!factor_) {
+    factor_.emplace(sys_.g);
+    ++refactorizations_;
+  }
   VarianceEstimate est;
+  est.method = "streaming-normal(keep-all)";
   est.equations_used = sys_.used;
   est.equations_dropped = sys_.dropped;
-  est.links_pinned = pins_active_;
-  est.method = drop_negative_ ? "streaming-normal(drop-negative)"
-                              : "streaming-normal(keep-all)";
-  // Zero-coverage links are identity-pinned inside G, so a factor that
-  // needed an *amplified* jitter (ladder rung >= 2, matching the batch
-  // trigger) means equation drops left the live block rank-deficient:
-  // degrade exactly like the batch path — pivoted rank-revealing solve,
-  // deficient links pinned — instead of amplifying the jittered solution.
-  const auto rank_revealing_tail = [&](VarianceEstimate partial) {
-    partial.method = "streaming-normal(drop-negative,rank-revealing)";
-    partial.jitter_used = 0.0;
-    std::size_t extra = 0;
-    auto pinned_v = solve_rank_revealing(sys_.g, sys_.h, extra);
-    partial.links_pinned = pins_active_ + extra;
-    return finish(std::move(pinned_v), std::move(partial));
-  };
-  if (factor_ && !factor_dirty_ && pending_live_ + pin_pending_live_ > 0) {
-    // A jitter-regularized factor solves G + j*I, not G; carrying it
-    // across G changes would make refinement target a different system
-    // than the batch baseline (and on a still-singular G, an unsolvable
-    // one).  Jittered factors are refactorized at the first flip instead.
-    if (factor_->jitter_used() > 0.0) {
-      factor_dirty_ = true;
-    } else if (!reconcile_factor()) {
-      factor_dirty_ = true;
-    }
-  }
-  if (!factor_ || factor_dirty_) refactorize();
-  if (drop_negative_ && options_.rank_revealing_min_attempts > 0 &&
-      factor_->jitter_attempts() >= options_.rank_revealing_min_attempts) {
-    return rank_revealing_tail(std::move(est));
-  }
   est.jitter_used = factor_->jitter_used();
-  linalg::Vector v = factor_->solve(sys_.h);
-  if (factor_updates_ > 0 || pending_live_ + pin_pending_live_ > 0) {
-    // The factor is inexact — up/downdate drift, or deliberately stale
-    // after a flip burst too large for rank-1 steps.  G itself is exact
-    // (integer counts), so iterative refinement — residual against the
-    // true G, correction through the cached factor — recovers
-    // direct-solve accuracy at O(nc^2) per step as long as the factor
-    // still preconditions G.  When it stops converging, the factor has
-    // diverged too far: refactorize and solve directly (bit-identical
-    // to the batch solve, as on every freshly refactorized tick).
-    if (!refine(v)) {
-      refactorize();
-      if (drop_negative_ && options_.rank_revealing_min_attempts > 0 &&
-          factor_->jitter_attempts() >= options_.rank_revealing_min_attempts) {
-        return rank_revealing_tail(std::move(est));
-      }
-      est.jitter_used = factor_->jitter_used();
-      v = factor_->solve(sys_.h);
-    }
-  }
-  return finish(std::move(v), std::move(est));
-}
-
-void StreamingNormalEquations::refactorize() {
-  // Same pivot floor as the batch solve (see solve_normal_system): an
-  // exactly-singular drop-negative G must enter the jitter ladder rather
-  // than factorize on a rounding-level pivot.
-  factor_.emplace(sys_.g, 1e-12, 6, drop_negative_ ? 1e-12 : 0.0);
-  factor_dirty_ = false;
-  factor_updates_ = 0;
-  // The fresh factor matches G exactly: the pending sets are moot.
-  for (const std::size_t p : pending_) pending_mark_[p] = 0;
-  pending_.clear();
-  pending_live_ = 0;
-  for (const std::size_t a : pin_pending_) pin_pending_mark_[a] = 0;
-  pin_pending_.clear();
-  pin_pending_live_ = 0;
-  ++refactorizations_;
-}
-
-// Polishes the direct solve F v ~ G^-1 h against the exact G with
-// conjugate gradients preconditioned by the cached factor.  A drifted or
-// stale factor gives M = F F^T close to G, so PCG converges in a handful
-// of steps where plain refinement (Richardson) would need dozens at the
-// same O(nc^2) per-step cost.  Returns false when the iteration budget
-// runs out or the search direction collapses (numerically indefinite /
-// singular system) — the caller then refactorizes.  All arithmetic is
-// sequential and depends only on the operand values, so results are
-// identical at any thread count.
-bool StreamingNormalEquations::refine(linalg::Vector& v) {
-  // Tolerance, budget, and contraction come from VarianceOptions so a
-  // deployment can trade parity for tick latency (ROADMAP open item); the
-  // defaults reproduce the recorded 1e-13 * ||h|| behaviour.
-  const int max_iterations = options_.refine_max_iterations;
-  if (max_iterations <= 0) return false;  // refinement disabled
-  const std::size_t n = sys_.h.size();
-  double hnorm = 0.0;
-  for (const double x : sys_.h) hnorm = std::max(hnorm, std::fabs(x));
-  const double tol = kRefineTolerance * std::max(hnorm, 1e-300);
-
-  const linalg::Vector gv = sys_.g.multiply(v);
-  linalg::Vector r(n);
-  double rnorm = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    r[k] = sys_.h[k] - gv[k];
-    rnorm = std::max(rnorm, std::fabs(r[k]));
-  }
-  if (rnorm <= tol) return true;
-  const double r0 = rnorm;
-
-  linalg::Vector z = factor_->solve(r);
-  linalg::Vector p = z;
-  double rz = 0.0;
-  for (std::size_t k = 0; k < n; ++k) rz += r[k] * z[k];
-  // Stall guard: on ill-conditioned G the attainable residual floor sits
-  // above the tolerance; once progress stops, bail to the refactorization
-  // fallback instead of burning the whole iteration budget every tick.
-  double best = rnorm;
-  int since_best = 0;
-  for (int iter = 0; iter < max_iterations; ++iter) {
-    ++refine_iterations_;
-    const linalg::Vector gp = sys_.g.multiply(p);
-    double pgp = 0.0;
-    for (std::size_t k = 0; k < n; ++k) pgp += p[k] * gp[k];
-    if (!(pgp > 0.0)) return false;  // direction collapsed: G ~ singular
-    const double alpha = rz / pgp;
-    rnorm = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      v[k] += alpha * p[k];
-      r[k] -= alpha * gp[k];
-      rnorm = std::max(rnorm, std::fabs(r[k]));
-    }
-    if (rnorm <= tol) {
-      // The recursive residual drifts from the true one when the start
-      // point was poor (badly stale factor): accept only on a recomputed
-      // residual, else refactorize.
-      const linalg::Vector gv2 = sys_.g.multiply(v);
-      double true_rnorm = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        true_rnorm = std::max(true_rnorm, std::fabs(sys_.h[k] - gv2[k]));
-      }
-      return true_rnorm <= 10.0 * tol;
-    }
-    if (rnorm > 100.0 * r0) return false;  // diverging
-    if (rnorm < kRefineContraction * best) {
-      best = rnorm;
-      since_best = 0;
-    } else if (++since_best >= kRefineStallWindow) {
-      return false;  // stalled above tolerance
-    }
-    z = factor_->solve(r);
-    double rz_next = 0.0;
-    for (std::size_t k = 0; k < n; ++k) rz_next += r[k] * z[k];
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (std::size_t k = 0; k < n; ++k) p[k] = z[k] + beta * p[k];
-  }
-  return false;
+  return finish(factor_->solve(sys_.h), std::move(est));
 }
 
 void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
@@ -1069,35 +765,22 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   writer.doubles(sys_.h);
   writer.usize(sys_.used);
   writer.usize(sys_.dropped);
-  writer.boolean(factor_dirty_);
-  writer.boolean(factor_.has_value());
-  if (factor_) {
-    writer.doubles(factor_->l().data());
-    writer.f64(factor_->jitter_used());
-    writer.u32(static_cast<std::uint32_t>(factor_->jitter_attempts()));
-  }
-  writer.usize(factor_updates_);
   writer.usize(refactorizations_);
-  writer.usize(rank1_updates_);
-  writer.usize(pin_updates_);
   writer.usize(links_grown_);
-  writer.usize(downdate_fallbacks_);
-  writer.usize(refine_iterations_);
   if (drop_negative_) {
     const bool has_store = pairs_ != nullptr;
     writer.boolean(has_store);
     writer.boolean(store_external);
     if (has_store && !store_external) pairs_->save_state(writer);
     writer.u8s(pair_kept_);
-    writer.sizes(pending_);
-    writer.u8s(pending_mark_);
-    writer.usize(pending_live_);
-    writer.u32s(coverage_);
-    writer.u8s(pinned_in_g_);
-    writer.sizes(pin_pending_);
-    writer.u8s(pin_pending_mark_);
-    writer.usize(pin_pending_live_);
-    writer.usize(pins_active_);
+    writer.usize(flips_);
+  } else {
+    writer.boolean(factor_.has_value());
+    if (factor_) {
+      writer.doubles(factor_->factor().l().data());
+      writer.f64(factor_->jitter_used());
+      writer.u32(static_cast<std::uint32_t>(factor_->jitter_attempts()));
+    }
   }
   writer.end_section();
 }
@@ -1123,45 +806,17 @@ void StreamingNormalEquations::restore_state(
   std::vector<double> h = reader.doubles();
   const std::size_t used = reader.usize();
   const std::size_t dropped = reader.usize();
-  const bool factor_dirty = reader.boolean();
-  const bool has_factor = reader.boolean();
-  std::optional<linalg::UpdatableCholesky> factor;
-  if (has_factor) {
-    std::vector<double> l = reader.doubles();
-    const double jitter_used = reader.f64();
-    const int jitter_attempts = static_cast<int>(reader.u32());
-    if (l.size() != nc_ * nc_) {
-      throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                "cached factor has the wrong shape");
-    }
-    linalg::Matrix lm(nc_, nc_);
-    std::copy(l.begin(), l.end(), lm.data().begin());
-    factor = linalg::UpdatableCholesky::from_state(std::move(lm), jitter_used,
-                                                   jitter_attempts);
-  }
-  const std::size_t factor_updates = reader.usize();
   const std::size_t refactorizations = reader.usize();
-  const std::size_t rank1_updates = reader.usize();
-  const std::size_t pin_updates = reader.usize();
   const std::size_t links_grown = reader.usize();
-  const std::size_t downdate_fallbacks = reader.usize();
-  const std::size_t refine_iterations = reader.usize();
   if (g.size() != nc_ * nc_ || h.size() != nc_) {
     throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                               "normal equations G/h have the wrong shape");
   }
   std::shared_ptr<SharingPairStore> pairs;
   std::vector<std::uint8_t> pair_kept;
-  std::vector<std::size_t> pending;
-  std::vector<std::uint8_t> pending_mark;
-  std::size_t pending_live = 0;
-  std::vector<std::uint32_t> coverage;
-  std::vector<std::uint8_t> pinned_in_g;
-  std::vector<std::size_t> pin_pending;
-  std::vector<std::uint8_t> pin_pending_mark;
-  std::size_t pin_pending_live = 0;
-  std::size_t pins_active = 0;
+  std::size_t flips = 0;
   bool has_store = false;
+  std::optional<linalg::RegularizedCholesky> factor;
   if (drop_negative_) {
     has_store = reader.boolean();
     const bool store_external = reader.boolean();
@@ -1185,31 +840,26 @@ void StreamingNormalEquations::restore_state(
       }
     }
     pair_kept = reader.u8s();
-    pending = reader.sizes();
-    pending_mark = reader.u8s();
-    pending_live = reader.usize();
-    coverage = reader.u32s();
-    pinned_in_g = reader.u8s();
-    pin_pending = reader.sizes();
-    pin_pending_mark = reader.u8s();
-    pin_pending_live = reader.usize();
-    pins_active = reader.usize();
+    flips = reader.usize();
     const std::size_t pair_count = pairs ? pairs->pair_count() : 0;
-    bool ok = pair_kept.size() == pair_count &&
-              pending_mark.size() == pair_count &&
-              coverage.size() == nc_ && pinned_in_g.size() == nc_ &&
-              pin_pending_mark.size() == nc_ && pins_active <= nc_ &&
-              (!pairs || pairs->path_count() == np_);
-    for (std::size_t k = 0; ok && k < pending.size(); ++k) {
-      ok = pending[k] < pair_count;
-    }
-    for (std::size_t k = 0; ok && k < pin_pending.size(); ++k) {
-      ok = pin_pending[k] < nc_;
-    }
-    if (!ok) {
+    if (pair_kept.size() != pair_count ||
+        (pairs && pairs->path_count() != np_)) {
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                                "pending-flip/pin state is inconsistent");
+                                "kept-pair flags are inconsistent");
     }
+  } else if (reader.boolean()) {
+    std::vector<double> l = reader.doubles();
+    const double jitter_used = reader.f64();
+    const int jitter_attempts = static_cast<int>(reader.u32());
+    if (l.size() != nc_ * nc_) {
+      throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
+                                "cached factor has the wrong shape");
+    }
+    linalg::Matrix lm(nc_, nc_);
+    std::copy(l.begin(), l.end(), lm.data().begin());
+    factor = linalg::RegularizedCholesky::from_state(std::move(lm),
+                                                     jitter_used,
+                                                     jitter_attempts);
   }
   reader.end_section();
 
@@ -1218,15 +868,9 @@ void StreamingNormalEquations::restore_state(
   sys_.h = std::move(h);
   sys_.used = used;
   sys_.dropped = dropped;
-  factor_dirty_ = factor_dirty;
-  factor_ = std::move(factor);
-  factor_updates_ = factor_updates;
   refactorizations_ = refactorizations;
-  rank1_updates_ = rank1_updates;
-  pin_updates_ = pin_updates;
   links_grown_ = links_grown;
-  downdate_fallbacks_ = downdate_fallbacks;
-  refine_iterations_ = refine_iterations;
+  factor_ = std::move(factor);
   if (drop_negative_) {
     if (has_store) {
       pairs_ = std::move(pairs);
@@ -1234,16 +878,7 @@ void StreamingNormalEquations::restore_state(
     }
     // else: the lazy routing_ installed by the constructor stays.
     pair_kept_ = std::move(pair_kept);
-    pending_ = std::move(pending);
-    pending_mark_ = std::move(pending_mark);
-    pending_live_ = pending_live;
-    coverage_ = std::move(coverage);
-    pinned_in_g_ = std::move(pinned_in_g);
-    pin_pending_ = std::move(pin_pending);
-    pin_pending_mark_ = std::move(pin_pending_mark);
-    pin_pending_live_ = pin_pending_live;
-    pins_active_ = pins_active;
-    flip_scratch_.assign(nc_, 0.0);
+    flips_ = flips;
   }
 }
 

@@ -57,26 +57,6 @@ struct VarianceOptions {
   /// environment variable, else hardware concurrency).  Results are
   /// bit-identical at any thread count.
   std::size_t threads = 0;
-  /// Streaming drop-negative only: cumulative rank-1 factor up/downdates
-  /// (linalg::UpdatableCholesky) applied to the cached Cholesky factor
-  /// before a full refactorization is forced, bounding floating-point
-  /// drift of the incrementally maintained factor.  0 = automatic
-  /// (4 * link count).
-  std::size_t factor_update_cap = 0;
-  /// Streaming drop-negative only: pending flips (pair sign flips + churn
-  /// validity flips + pin border steps) a single solve will absorb as
-  /// rank-1 factor steps; beyond it the factor deliberately goes stale and
-  /// the solve leans on PCG refinement instead.  0 = automatic
-  /// (nc / 4 + 1 — past that, rank-1 work stops beating a
-  /// refactorization).  Deployments that churn in large bursts but want
-  /// the factor always current (e.g. to keep solve latency flat) can
-  /// raise it.
-  std::size_t factor_flip_threshold = 0;
-  /// Streaming drop-negative PCG refinement budget per solve (a
-  /// stale/drifted cached factor polished against the exact
-  /// integer-maintained G); <= 0 disables refinement entirely, so every
-  /// inexact-factor tick refactorizes (the pre-PR-3 behaviour).
-  int refine_max_iterations = 40;
   /// Drop-negative only: jitter-ladder rung (linalg::RegularizedCholesky
   /// escalation attempts; 1 = the base jitter) at which the solve abandons
   /// the regularized factorization and degrades through the pivoted
@@ -163,31 +143,22 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///    to the sharing structure — see core/sharing_pairs.hpp), so
 ///    constructing a monitor on a 10k+ path overlay costs nothing until
 ///    streaming actually starts.  Each refresh() re-reads every pair's
-///    covariance; only pairs whose drop decision flipped touch G (exact
-///    integer +/-1 counts).  The cached Cholesky factor is reconciled at
-///    solve() time against the *pending* flip set (pairs whose state
-///    differs from the factor; a pair that flips back cancels out), in
-///    one of three modes:
-///      1. small pending set (<= nc/4): one rank-1 up/downdate per flip
-///         (linalg::UpdatableCholesky), O((nc - j0)^2) each;
-///      2. large pending set (sign-flip storms — thousands of
-///         near-zero-covariance pairs oscillate every tick): the factor
-///         stays deliberately stale and the solve runs iterative
-///         refinement against the exact G through it, O(nc^2) per step —
-///         the state difference vs the factor saturates rather than
-///         grows, so a recent factor keeps preconditioning G well;
-///      3. full refactorization, only when a downdate would lose positive
-///         definiteness, refinement stops contracting, or the cumulative
-///         rank-1 count reaches VarianceOptions::factor_update_cap
-///         (drift bound).
+///    covariance and rebuilds h; only pairs whose drop decision flipped
+///    touch G (exact integer +/-1 counts, so G always equals a
+///    from-scratch accumulation over the kept pairs, and its diagonal is
+///    each link's kept-pair coverage).  solve() hands G and h to the batch
+///    solve's tail (the one estimate_link_variances runs): zero diagonals
+///    pinned, a fresh RegularizedCholesky with the relative pivot floor,
+///    the jitter ladder and the rank-revealing fallback.  One
+///    factorization per solve, so a streaming solve *is* the batch solve
+///    on the same G and h.
 ///
 /// Under drop-negative, refresh() rebuilds h from the source's current
 /// covariance matrix — cost proportional to the sharing structure,
 /// independent of the window length.  Either way solve() yields the same
-/// clamped estimate as estimate_link_variances on an equal-valued source
-/// to refinement accuracy (residual <= 1e-13 * ||h||; <= 1e-10 parity observed on
-/// well-conditioned instances, and bit-identical on freshly refactorized
-/// ticks; methods kAuto and kNormal only — the constructors throw
+/// clamped estimate as estimate_link_variances on an equal-valued source:
+/// the same G and the same solve, with h equal up to summation order
+/// (methods kAuto and kNormal only — the constructors throw
 /// std::invalid_argument for kDenseQr and kNnls, whose callers must use
 /// the batch path).
 ///
@@ -211,9 +182,9 @@ class StreamingNormalEquations {
                            const VarianceOptions& options,
                            std::shared_ptr<SharingPairStore> store);
 
-  /// Recomputes h (and the sign-flipped parts of G and the cached factor
-  /// under drop-negative): from the source's snapshot window under
-  /// keep-all, from its current covariance matrix under drop-negative.
+  /// Recomputes h (and the sign-flipped parts of G under drop-negative):
+  /// from the source's snapshot window under keep-all, from its current
+  /// covariance matrix under drop-negative.
   /// Under drop-negative a pair enters the system only when it is live
   /// (both paths' store rows live), ready (source.samples() covers the
   /// full window for both paths — path-churn warm-up), and its covariance
@@ -223,19 +194,14 @@ class StreamingNormalEquations {
 
   // -- Path churn (scenario engine, src/scenario/) ------------------------
   //
-  // Dimension changes never resize the factor: G stays nc x nc, and a link
-  // whose every pair equation is gone is *identity-pinned* (unit diagonal,
-  // zero elsewhere — its variance solves to exactly 0).  A path join or
-  // leave therefore reaches the cached factor as a batch of rank-1
-  // +/- e_S e_S^T pair steps plus +/- e_a e_a^T pin/unpin steps — the
-  // bordered-update realization: pinned links sit as identity borders of
-  // the live block and are bordered in or out by rank-1 work, with the
-  // usual stale-factor PCG and full-refactorization fallbacks.
+  // Dimension changes never shrink G: it stays nc x nc, and a link whose
+  // every pair equation is gone keeps a zero row and column, which the
+  // solve pins to v = 0 exactly as the batch solve does.
   // Drop-negative only (throws std::logic_error under keep-all).
 
   /// Marks a path's pairs live/dead.  Going dead immediately flips its
-  /// kept pairs out of G (exact integer updates; the factor reconciles at
-  /// the next solve).  Builds the lazy pair store if needed.
+  /// kept pairs out of G (exact integer updates).  Builds the lazy pair
+  /// store if needed.
   void set_path_live(std::size_t path, bool live);
 
   /// Registers one appended path (row r.rows()-1 of the grown routing
@@ -254,48 +220,37 @@ class StreamingNormalEquations {
   void add_paths(const linalg::SparseBinaryMatrix& r, std::size_t count);
 
   /// Grows the link universe by `count` fresh trailing columns.  Fresh
-  /// links have no kept pair equation yet, so they enter identity-pinned:
-  /// G becomes diag(G, I) exactly, and the cached factor follows by
-  /// bordered identity growth (linalg::UpdatableCholesky::append_identity)
-  /// — no refactorization, no rank-1 work.  Pairs covering the new links
-  /// later unpin them through the usual refresh()/flip border steps.
+  /// links have no kept pair equation yet, so G and h widen with zeros
+  /// (the solve pins them) until warmed pairs cover them.
   /// Drop-negative only (throws std::logic_error under keep-all).
   void grow_links(std::size_t count);
 
-  /// Solves the current system for v, reusing the cached (possibly
-  /// up/downdated) factorization while it is valid.  Requires a prior
-  /// refresh().
+  /// Solves the current system for v: the keep-all factor, computed once,
+  /// or a fresh drop-negative factorization.  Requires a prior refresh().
   [[nodiscard]] VarianceEstimate solve();
 
   [[nodiscard]] const NormalEquations& system() const { return sys_; }
   [[nodiscard]] bool drop_negative() const { return drop_negative_; }
-  /// Full Cholesky factorizations performed so far (1 after the first
-  /// solve under keep-all; under drop-negative grows only on the fallback
-  /// conditions listed above).
+  /// Cholesky factorizations performed so far: 1 after the first solve
+  /// under keep-all, one per solve under drop-negative.
   [[nodiscard]] std::size_t refactorizations() const {
     return refactorizations_;
   }
-  /// Rank-1 factor up/downdates applied so far (drop-negative only),
-  /// including the pin/unpin border steps.
-  [[nodiscard]] std::size_t rank1_updates() const { return rank1_updates_; }
-  /// Pin/unpin border steps among rank1_updates() (links entering/leaving
-  /// the identity-pinned state on the factor).
-  [[nodiscard]] std::size_t pin_updates() const { return pin_updates_; }
-  /// Fresh virtual links absorbed mid-run via bordered identity growth
-  /// (grow_links), each entering pinned without a refactorization.
+  // perfbench reads it; ROADMAP item 2's benchmark change removes it.
+  [[nodiscard]] std::size_t rank1_updates() const { return 0; }
+  /// Fresh virtual links absorbed mid-run (grow_links).
   [[nodiscard]] std::size_t links_grown() const { return links_grown_; }
-  /// Links currently identity-pinned (no kept pair equation covers them).
-  [[nodiscard]] std::size_t links_pinned() const { return pins_active_; }
-  /// Failed downdates that forced a refactorization.
-  [[nodiscard]] std::size_t downdate_fallbacks() const {
-    return downdate_fallbacks_;
-  }
-  /// Iterative-refinement steps run against stale or drifted factors.
-  [[nodiscard]] std::size_t refine_iterations() const {
-    return refine_iterations_;
-  }
-  /// Pairs whose kept/dropped state currently differs from the factor.
-  [[nodiscard]] std::size_t pending_flips() const { return pending_live_; }
+  /// Links no kept pair equation covers (zero G diagonal under
+  /// drop-negative); the solve pins them to v = 0.  Always 0 under
+  /// keep-all.  O(nc).
+  [[nodiscard]] std::size_t links_pinned() const;
+  // perfbench reads it; ROADMAP item 2's benchmark change removes it.
+  [[nodiscard]] std::size_t downdate_fallbacks() const { return 0; }
+  // perfbench reads it; ROADMAP item 2's benchmark change removes it.
+  [[nodiscard]] std::size_t refine_iterations() const { return 0; }
+  /// Pair drop-decision flips applied to G since the last solve()
+  /// (refresh flips plus the kept pairs of paths gone dead).
+  [[nodiscard]] std::size_t pending_flips() const { return flips_; }
   /// The sharing-pair store: built lazily at the first drop-negative
   /// refresh (or shared from construction); nullptr before that and always
   /// under keep-all.
@@ -306,18 +261,18 @@ class StreamingNormalEquations {
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
   // Serializes every piece of mutable state the incremental machinery
-  // depends on: the integer-maintained G and rhs, the cached
-  // UpdatableCholesky factor (restored via from_state — NO refactorization
-  // on resume), the pending pair/pin flip queues with their membership
-  // marks, the kept-pair flags, link coverage and pin states, and all
-  // counters.  `store_external` is true when the pair store is owned by
-  // someone else (the monitor's shared PairMoments store) and serialized
-  // there; otherwise an owned store is embedded.  The routing matrix
-  // itself (routing_) is NOT serialized — restore_state targets an
-  // instance freshly constructed over the same (already restored) routing
-  // matrix and store configuration, and throws
-  // io::CheckpointError(kMismatch) on any shape or policy disagreement.
-  // On failure *this is unchanged.
+  // depends on: the integer-maintained G and rhs, the kept-pair flags, the
+  // counters, and under keep-all the cached RegularizedCholesky factor
+  // (restored via from_state — NO refactorization on resume).  A
+  // drop-negative instance holds no factor: a restored one factorizes at
+  // its next solve, as the uninterrupted one does.  `store_external` is
+  // true when the pair store is owned by someone else (the monitor's
+  // shared PairMoments store) and serialized there; otherwise an owned
+  // store is embedded.  The routing matrix itself (routing_) is NOT
+  // serialized — restore_state targets an instance freshly constructed
+  // over the same (already restored) routing matrix and store
+  // configuration, and throws io::CheckpointError(kMismatch) on any shape
+  // or policy disagreement.  On failure *this is unchanged.
   void save_state(io::CheckpointWriter& writer, bool store_external) const;
   void restore_state(io::CheckpointReader& reader,
                      std::shared_ptr<SharingPairStore> shared_store);
@@ -325,10 +280,6 @@ class StreamingNormalEquations {
  private:
   void ensure_store();
   void apply_flips(const std::vector<std::size_t>& flips);
-  void note_pin_change(std::size_t link);
-  bool reconcile_factor();
-  void refactorize();
-  bool refine(linalg::Vector& v);
 
   VarianceOptions options_;
   std::size_t np_ = 0;
@@ -341,32 +292,12 @@ class StreamingNormalEquations {
   std::optional<linalg::SparseBinaryMatrix> routing_;
   std::shared_ptr<SharingPairStore> pairs_;
   std::vector<std::uint8_t> pair_kept_;
-  linalg::Vector flip_scratch_;  // shared-link indicator for up/downdates
-  // Pairs whose kept state diverged from the factor: queue + membership
-  // marks (an unmarked queue entry was cancelled by a flip-back).
-  std::vector<std::size_t> pending_;
-  std::vector<std::uint8_t> pending_mark_;
-  std::size_t pending_live_ = 0;
-  // Identity pinning of links with no kept pair equation: kept-pair
-  // coverage count per link, the pin state reflected in G, and the pin
-  // changes the factor has not absorbed yet (queue + marks, like pairs).
-  std::vector<std::uint32_t> coverage_;
-  std::vector<std::uint8_t> pinned_in_g_;
-  std::vector<std::size_t> pin_pending_;
-  std::vector<std::uint8_t> pin_pending_mark_;
-  std::size_t pin_pending_live_ = 0;
-  std::size_t pins_active_ = 0;
   std::vector<std::size_t> path_pairs_scratch_;
   NormalEquations sys_;
-  bool factor_dirty_ = true;
-  std::optional<linalg::UpdatableCholesky> factor_;
-  std::size_t factor_updates_ = 0;  // rank-1 steps since last refactorization
+  std::optional<linalg::RegularizedCholesky> factor_;  // keep-all only
   std::size_t refactorizations_ = 0;
-  std::size_t rank1_updates_ = 0;
-  std::size_t pin_updates_ = 0;
   std::size_t links_grown_ = 0;
-  std::size_t downdate_fallbacks_ = 0;
-  std::size_t refine_iterations_ = 0;
+  std::size_t flips_ = 0;  // since the last solve
 };
 
 }  // namespace losstomo::core

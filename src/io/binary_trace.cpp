@@ -153,8 +153,7 @@ void BinaryTraceWriter::finish() {
 // -- BinaryTraceReader ------------------------------------------------------
 
 void BinaryTraceReader::validate_and_adopt(const std::uint8_t* base,
-                                           std::size_t size,
-                                           PayloadCheck check) {
+                                           std::size_t size) {
   if (size < kHeaderSize) {
     throw CheckpointError(CheckpointErrorKind::kTruncated,
                           "binary trace shorter than its header (" +
@@ -211,14 +210,12 @@ void BinaryTraceReader::validate_and_adopt(const std::uint8_t* base,
     throw CheckpointError(CheckpointErrorKind::kCorrupt,
                           "trailing bytes after the promised payload");
   }
-  if (check == PayloadCheck::kVerify) {
-    const auto payload_crc = static_cast<std::uint32_t>(get_le(base + 40, 4));
-    const std::span<const std::uint8_t> body(
-        base + kHeaderSize, static_cast<std::size_t>(payload));
-    if (payload_crc != crc32(body)) {
-      throw CheckpointError(CheckpointErrorKind::kCorrupt,
-                            "binary trace payload CRC mismatch");
-    }
+  const auto payload_crc = static_cast<std::uint32_t>(get_le(base + 40, 4));
+  const std::span<const std::uint8_t> body(base + kHeaderSize,
+                                           static_cast<std::size_t>(payload));
+  if (payload_crc != crc32(body)) {
+    throw CheckpointError(CheckpointErrorKind::kCorrupt,
+                          "binary trace payload CRC mismatch");
   }
 
   paths_ = static_cast<std::size_t>(paths);
@@ -244,8 +241,7 @@ void BinaryTraceReader::validate_and_adopt(const std::uint8_t* base,
   }
 }
 
-BinaryTraceReader BinaryTraceReader::open(const std::string& file,
-                                          PayloadCheck check) {
+BinaryTraceReader BinaryTraceReader::open(const std::string& file) {
   const int fd = ::open(file.c_str(), O_RDONLY);
   if (fd < 0) throw_io("cannot open binary trace", file);
   struct ::stat st{};
@@ -282,16 +278,15 @@ BinaryTraceReader BinaryTraceReader::open(const std::string& file,
                                  ? static_cast<const std::uint8_t*>(
                                        reader.map_base_)
                                  : reader.owned_.data();
-  reader.validate_and_adopt(base, size,
-                            check);  // throws -> reader unmaps itself
+  reader.validate_and_adopt(base, size);  // throws -> reader unmaps itself
   return reader;
 }
 
 BinaryTraceReader BinaryTraceReader::from_bytes(
-    std::vector<std::uint8_t> bytes, PayloadCheck check) {
+    std::vector<std::uint8_t> bytes) {
   BinaryTraceReader reader;
   reader.owned_ = std::move(bytes);
-  reader.validate_and_adopt(reader.owned_.data(), reader.owned_.size(), check);
+  reader.validate_and_adopt(reader.owned_.data(), reader.owned_.size());
   return reader;
 }
 

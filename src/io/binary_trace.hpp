@@ -110,29 +110,11 @@ class BinaryTraceWriter {
 /// rows() reads from any number of threads are safe.
 class BinaryTraceReader {
  public:
-  /// How much of the payload open()/from_bytes() verifies up front.
-  /// Header integrity (magic, version, header CRC, overflow-checked field
-  /// consistency, file length) is ALWAYS checked under either mode; the
-  /// choice only covers the linear payload-CRC pass.
-  enum class PayloadCheck {
-    /// Verify the payload CRC before handing out any value (default).
-    kVerify,
-    /// Skip the payload pass: for re-opens of a trace this process (or a
-    /// prior drill) already verified — scenario replay sweeps, warm
-    /// failover, a monitor restarting on its own recorded feed — where
-    /// paying a full read of a multi-GB mapping per open would defeat the
-    /// point of mmap.  First contact with foreign data should verify.
-    kTrust,
-  };
-
-  /// Maps and validates `file` (with kVerify, payload CRC included — one
-  /// linear pass, still orders of magnitude cheaper than tokenizing the
-  /// text form).
-  static BinaryTraceReader open(const std::string& file,
-                                PayloadCheck check = PayloadCheck::kVerify);
+  /// Maps and validates `file`, payload CRC included — one linear pass,
+  /// still orders of magnitude cheaper than tokenizing the text form.
+  static BinaryTraceReader open(const std::string& file);
   /// Validates an in-memory image (same checks, same typed errors).
-  static BinaryTraceReader from_bytes(std::vector<std::uint8_t> bytes,
-                                      PayloadCheck check = PayloadCheck::kVerify);
+  static BinaryTraceReader from_bytes(std::vector<std::uint8_t> bytes);
 
   ~BinaryTraceReader();
   BinaryTraceReader(BinaryTraceReader&& other) noexcept;
@@ -161,8 +143,7 @@ class BinaryTraceReader {
 
  private:
   BinaryTraceReader() = default;
-  void validate_and_adopt(const std::uint8_t* base, std::size_t size,
-                          PayloadCheck check);
+  void validate_and_adopt(const std::uint8_t* base, std::size_t size);
   void release() noexcept;
 
   std::size_t paths_ = 0;

@@ -5,9 +5,10 @@
 // (ROADMAP: checkpoint/restore + warm failover).  The format here is the
 // substrate every stateful layer serializes through — stats::Rng streams,
 // the streaming accumulators, the sharing-pair store, the incrementally
-// maintained normal equations with their cached Cholesky factor, the
+// maintained normal equations (with the keep-all Cholesky factor), the
 // monitor, the simulator, and the scenario runner position — so a restored
-// process resumes *bit-identically* mid-run with zero refactorizations.
+// process resumes *bit-identically* mid-run, a keep-all monitor with no
+// refactorization.
 //
 // File layout (all integers little-endian, fixed width):
 //
@@ -114,7 +115,7 @@ class CheckpointWriter {
   /// finish() + write to `file`; throws CheckpointError(kIo) on failure.
   void save(const std::string& file);
 
-  static constexpr std::uint32_t kVersion = 7;
+  static constexpr std::uint32_t kVersion = 8;
 
  private:
   // The file image: a header slot, sealed in place by finish(), then the

@@ -6,29 +6,6 @@
 
 namespace losstomo::linalg {
 
-namespace {
-
-// Forward + back substitution with a lower-triangular factor: solves
-// (L L^T) x = b.  Shared by every factor-owning class in this file.
-Vector solve_llt(const Matrix& l, std::span<const double> b) {
-  const std::size_t n = l.rows();
-  if (b.size() != n) throw std::invalid_argument("rhs size mismatch");
-  Vector w(b.begin(), b.end());
-  for (std::size_t i = 0; i < n; ++i) {
-    double s = w[i];
-    for (std::size_t k = 0; k < i; ++k) s -= l(i, k) * w[k];
-    w[i] = s / l(i, i);
-  }
-  for (std::size_t ri = n; ri-- > 0;) {
-    double s = w[ri];
-    for (std::size_t k = ri + 1; k < n; ++k) s -= l(k, ri) * w[k];
-    w[ri] = s / l(ri, ri);
-  }
-  return w;
-}
-
-}  // namespace
-
 Cholesky::Cholesky(Matrix a, double min_pivot) : l_(std::move(a)) {
   if (l_.rows() != l_.cols()) throw std::invalid_argument("not square");
   const std::size_t n = l_.rows();
@@ -49,7 +26,20 @@ Cholesky::Cholesky(Matrix a, double min_pivot) : l_(std::move(a)) {
 }
 
 Vector Cholesky::solve(std::span<const double> b) const {
-  return solve_llt(l_, b);
+  const std::size_t n = l_.rows();
+  if (b.size() != n) throw std::invalid_argument("rhs size mismatch");
+  Vector w(b.begin(), b.end());
+  for (std::size_t i = 0; i < n; ++i) {
+    double s = w[i];
+    for (std::size_t k = 0; k < i; ++k) s -= l_(i, k) * w[k];
+    w[i] = s / l_(i, i);
+  }
+  for (std::size_t ri = n; ri-- > 0;) {
+    double s = w[ri];
+    for (std::size_t k = ri + 1; k < n; ++k) s -= l_(k, ri) * w[k];
+    w[ri] = s / l_(ri, ri);
+  }
+  return w;
 }
 
 double Cholesky::sqrt_det() const {
@@ -86,97 +76,21 @@ RegularizedCholesky::RegularizedCholesky(const Matrix& a, double jitter,
   throw std::runtime_error("RegularizedCholesky: factorization failed");
 }
 
-Vector RegularizedCholesky::solve(std::span<const double> b) const {
-  return holder_.front().solve(b);
-}
-
-UpdatableCholesky::UpdatableCholesky(const Matrix& a, double jitter,
-                                     int max_attempts,
-                                     double min_pivot_rel) {
-  const RegularizedCholesky chol(a, jitter, max_attempts, min_pivot_rel);
-  l_ = chol.factor().l();
-  jitter_used_ = chol.jitter_used();
-  jitter_attempts_ = chol.jitter_attempts();
-  w_.resize(l_.rows());
-}
-
-UpdatableCholesky UpdatableCholesky::from_state(Matrix l, double jitter_used,
-                                                int jitter_attempts) {
+RegularizedCholesky RegularizedCholesky::from_state(Matrix l,
+                                                    double jitter_used,
+                                                    int jitter_attempts) {
   if (l.rows() != l.cols()) {
     throw std::invalid_argument("from_state: factor must be square");
   }
-  UpdatableCholesky chol;
-  chol.l_ = std::move(l);
+  RegularizedCholesky chol;
+  chol.holder_.push_back(Cholesky(Cholesky::Adopt{}, std::move(l)));
   chol.jitter_used_ = jitter_used;
   chol.jitter_attempts_ = jitter_attempts;
-  chol.w_.resize(chol.l_.rows());
   return chol;
 }
 
-void UpdatableCholesky::update(std::span<const double> x) {
-  const std::size_t n = dim();
-  if (x.size() != n) throw std::invalid_argument("update size mismatch");
-  std::copy(x.begin(), x.end(), w_.begin());
-  for (std::size_t k = 0; k < n; ++k) {
-    const double wk = w_[k];
-    if (wk == 0.0) continue;  // identity rotation; preserves leading sparsity
-    const double lkk = l_(k, k);
-    const double r = std::sqrt(lkk * lkk + wk * wk);
-    const double c = lkk / r;
-    const double s = wk / r;
-    l_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = l_(i, k);
-      const double wi = w_[i];
-      l_(i, k) = c * lik + s * wi;
-      w_[i] = c * wi - s * lik;
-    }
-  }
-}
-
-bool UpdatableCholesky::downdate(std::span<const double> x,
-                                 double downdate_tol) {
-  const std::size_t n = dim();
-  if (x.size() != n) throw std::invalid_argument("downdate size mismatch");
-  std::copy(x.begin(), x.end(), w_.begin());
-  for (std::size_t k = 0; k < n; ++k) {
-    const double wk = w_[k];
-    if (wk == 0.0) continue;
-    const double lkk = l_(k, k);
-    const double d = (lkk - wk) * (lkk + wk);
-    // Pivot would vanish (or go negative): the downdated matrix is no
-    // longer safely positive definite.  The factor is now partially
-    // rotated and therefore invalid — the caller must refactorize.
-    if (!(d > downdate_tol * lkk * lkk)) return false;
-    const double r = std::sqrt(d);
-    const double ch = lkk / r;
-    const double sh = wk / r;
-    l_(k, k) = r;
-    for (std::size_t i = k + 1; i < n; ++i) {
-      const double lik = l_(i, k);
-      const double wi = w_[i];
-      l_(i, k) = ch * lik - sh * wi;
-      w_[i] = ch * wi - sh * lik;
-    }
-  }
-  return true;
-}
-
-void UpdatableCholesky::append_identity(std::size_t k) {
-  if (k == 0) return;
-  const std::size_t n = dim();
-  Matrix grown(n + k, n + k);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = l_.row(i);
-    std::copy(src.begin(), src.end(), grown.row(i).begin());
-  }
-  for (std::size_t i = n; i < n + k; ++i) grown(i, i) = 1.0;
-  l_ = std::move(grown);
-  w_.resize(n + k);
-}
-
-Vector UpdatableCholesky::solve(std::span<const double> b) const {
-  return solve_llt(l_, b);
+Vector RegularizedCholesky::solve(std::span<const double> b) const {
+  return holder_.front().solve(b);
 }
 
 PivotedCholesky::PivotedCholesky(Matrix a, double rel_tol) {

@@ -4,7 +4,9 @@
 // These power the "implicit" large-scale paths of the library: the Phase-1
 // normal equations (A^T A) v = A^T sigma and the Phase-2 reduced
 // first-moment solve, both of which operate on Gram matrices derived from
-// the routing matrix.  IncrementalCholesky is the core of the Phase-2
+// the routing matrix.  RegularizedCholesky factors the Phase-1 normal
+// matrix, afresh at every drop-negative solve and once per keep-all
+// monitor (which checkpoints the factor).  IncrementalCholesky is the core of the Phase-2
 // column-elimination procedure: columns are admitted in decreasing variance
 // order until the first dependent column, which identifies the minimal
 // removal set (see src/core/elimination.hpp).
@@ -12,6 +14,7 @@
 
 #include <cstddef>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -44,6 +47,10 @@ class Cholesky {
   [[nodiscard]] double sqrt_det() const;
 
  private:
+  friend class RegularizedCholesky;
+  struct Adopt {};
+  Cholesky(Adopt, Matrix l) : l_(std::move(l)) {}
+
   Matrix l_;
 };
 
@@ -61,6 +68,15 @@ class RegularizedCholesky {
                                int max_attempts = 6,
                                double min_pivot_rel = 0.0);
 
+  /// Reconstructs a factor from previously extracted state — `l` =
+  /// factor().l() plus the jitter diagnostics that produced it — WITHOUT
+  /// refactorizing (no O(n^3) work; `l` must be square, throws
+  /// std::invalid_argument otherwise).  This is the checkpoint-restore
+  /// entry (io/checkpoint.hpp): a resumed keep-all monitor re-adopts its
+  /// factor and solves bit-identically with no refactorization.
+  static RegularizedCholesky from_state(Matrix l, double jitter_used,
+                                        int jitter_attempts);
+
   [[nodiscard]] Vector solve(std::span<const double> b) const;
   [[nodiscard]] double jitter_used() const { return jitter_used_; }
   /// Ladder rung that succeeded: 0 = clean factorization, 1 = the base
@@ -72,90 +88,9 @@ class RegularizedCholesky {
   [[nodiscard]] const Cholesky& factor() const { return holder_.front(); }
 
  private:
+  RegularizedCholesky() = default;  // from_state fills the members
+
   std::vector<Cholesky> holder_;  // size 1; indirection for late init
-  double jitter_used_ = 0.0;
-  int jitter_attempts_ = 0;
-};
-
-/// Cholesky factor that tracks a matrix evolving by symmetric rank-1 steps:
-/// update() folds A + x x^T into the factor, downdate() folds A - x x^T.
-///
-/// This is the factor-caching core of the streaming drop-negative Phase-1
-/// path (core::StreamingNormalEquations): a sharing pair whose covariance
-/// changes sign perturbs G by +/- e_S e_S^T (e_S the indicator of the
-/// shared-link set), so the cached factor follows in O((n - j0)^2) per flip
-/// — j0 the first nonzero of x — instead of an O(n^3) refactorization.
-///
-/// Construction uses the same escalating-jitter fallback as
-/// RegularizedCholesky, so a singular input still yields a usable
-/// (regularized) factor; subsequent up/downdates then track A + jitter * I.
-///
-/// Numerical contract: update() uses Givens rotations and is
-/// unconditionally stable.  downdate() uses hyperbolic rotations and
-/// *fails* (returns false) when the downdated matrix loses positive
-/// definiteness within `downdate_tol` — after a failed downdate the factor
-/// is INVALID and the caller must refactorize from scratch.  Both apply
-/// O(eps * ||A||) perturbation per step; callers that accumulate thousands
-/// of steps should bound drift with a periodic refactorization (see
-/// core::VarianceOptions::factor_update_cap).
-///
-/// Not thread-safe: update/downdate mutate the factor in place.
-class UpdatableCholesky {
- public:
-  /// Factorizes `a` (symmetric positive definite up to jitter).  Complexity
-  /// O(n^3 / 3) per attempt.  Throws std::runtime_error when even the
-  /// largest jitter fails.
-  explicit UpdatableCholesky(const Matrix& a, double jitter = 1e-12,
-                             int max_attempts = 6,
-                             double min_pivot_rel = 0.0);
-
-  /// Reconstructs a factor from previously extracted state — `l` a valid
-  /// lower-triangular factor plus the jitter diagnostics that produced it —
-  /// WITHOUT refactorizing (no O(n^3) work; `l` must be square, throws
-  /// std::invalid_argument otherwise).  This is the checkpoint-restore
-  /// entry (io/checkpoint.hpp): a resumed streaming run re-adopts its
-  /// cached factor and keeps its zero-refactorization guarantee.
-  static UpdatableCholesky from_state(Matrix l, double jitter_used,
-                                      int jitter_attempts);
-
-  [[nodiscard]] std::size_t dim() const { return l_.rows(); }
-  [[nodiscard]] double jitter_used() const { return jitter_used_; }
-  /// Jitter-ladder rung of the construction-time factorization (see
-  /// RegularizedCholesky::jitter_attempts).
-  [[nodiscard]] int jitter_attempts() const { return jitter_attempts_; }
-  /// Current lower-triangular factor (valid unless a downdate failed).
-  [[nodiscard]] const Matrix& l() const { return l_; }
-
-  /// Rank-1 update: the factored matrix becomes A + x x^T.  `x.size()` must
-  /// equal dim().  Leading zeros of x are skipped, so a vector whose first
-  /// nonzero sits at index j0 costs O((dim - j0)^2).
-  void update(std::span<const double> x);
-
-  /// Rank-1 downdate: the factored matrix becomes A - x x^T.  Returns false
-  /// when the result would lose positive definiteness (relative pivot
-  /// tolerance `downdate_tol`); the factor is then invalid and must be
-  /// rebuilt.  Same sparsity skip and complexity as update().
-  [[nodiscard]] bool downdate(std::span<const double> x,
-                              double downdate_tol = 1e-12);
-
-  /// Bordered growth: the factored matrix becomes diag(A, I_k) — `k` new
-  /// trailing dimensions, decoupled (identity rows/columns).  Because the
-  /// border is exactly the identity, the factor extends with unit diagonal
-  /// entries and zero fill: no refactorization, no new rotation work, and
-  /// the extension is exact (the dimension-growth path of the streaming
-  /// normal equations, where fresh virtual links enter identity-pinned and
-  /// are later bordered into the live block by rank-1 steps).  Cost:
-  /// O((dim + k)^2) for the storage copy only.
-  void append_identity(std::size_t k);
-
-  /// Solves A x = b with the current factor.  O(n^2).
-  [[nodiscard]] Vector solve(std::span<const double> b) const;
-
- private:
-  UpdatableCholesky() : l_(0, 0) {}  // from_state fills the members
-
-  Matrix l_;
-  std::vector<double> w_;  // rotation scratch, kept to avoid reallocation
   double jitter_used_ = 0.0;
   int jitter_attempts_ = 0;
 };

@@ -5,8 +5,8 @@
 // Design rules, in order of importance:
 //
 //  * Determinism is a first-class tag.  Counters and gauges that mirror
-//    logically deterministic engine state (rank-1 updates,
-//    refactorizations, PCG iterations, pairs, rows ingested, pins) are
+//    logically deterministic engine state (refactorizations, pairs, rows
+//    ingested, pins) are
 //    registered kDeterministic and MUST be bit-identical across thread
 //    counts and a checkpoint/restore — the fuzzer in
 //    tests/obs/telemetry_determinism_test pins exactly that set
@@ -174,7 +174,7 @@ class FlightRecorder {
 };
 
 /// The metric registry.  Names are dotted lowercase paths
-/// ("monitor.rank1_updates", "pipeline.source.rows",
+/// ("monitor.refactorizations", "pipeline.source.rows",
 /// "span.solve.seconds" — see docs/OBSERVABILITY.md); registering the
 /// same name twice returns the same handle, registering it as a
 /// different kind throws std::logic_error.  Handles stay valid for the

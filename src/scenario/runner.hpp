@@ -16,8 +16,8 @@
 // the universe links covered by non-kGrowLinks rows (initial paths,
 // reroute alternates, kGrow reserve rows), and a kGrowLinks batch whose
 // routes reference still-unseen links appends those links as fresh monitor
-// columns (core::LiaMonitor::add_paths with new_links > 0 — bordered nc
-// growth on the streaming factor, no refactorization).  monitor_links()
+// columns (core::LiaMonitor::add_paths with new_links > 0 — G and h widen
+// with zeros, no rebuild).  monitor_links()
 // maps monitor columns back to universe links; the full mapping is fixed
 // at construction, so it is a pure function of the spec.
 //
@@ -196,7 +196,7 @@ class ScenarioRunner {
   // bits, a checkpoint from a different scenario or monitor configuration)
   // throws io::CheckpointError and leaves the runner fully usable.  A
   // restored runner continues bit-identically: same inferences at every
-  // remaining tick, cached factor intact, zero refactorizations.
+  // remaining tick, with the uninterrupted run's factorization count.
   void save_state(io::CheckpointWriter& writer) const;
   void restore_state(io::CheckpointReader& reader);
   /// File conveniences over save_state/restore_state.

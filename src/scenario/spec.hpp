@@ -54,7 +54,7 @@ enum class EventType {
   kGrow,         // append paths from the reserve pool as new dimensions
   kGrowLinks,    // like kGrow, but the appended routes may reference fresh
                  // virtual links: the monitor's link universe grows with
-                 // them (bordered nc growth on the streaming factor).  Any
+                 // them (nc growth of the streaming normal equations).  Any
                  // kGrowLinks event switches the runner to link-discovery
                  // mode — the monitor starts with only the links its known
                  // rows cover, instead of the whole universe basis.

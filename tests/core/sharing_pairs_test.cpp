@@ -300,15 +300,5 @@ TEST(SharingPairStore, PairsOfPathAndLiveness) {
   EXPECT_TRUE(store.pair_live(0, 0));
 }
 
-TEST(SharingPairStore, BytesScaleWithSharingStructure) {
-  const auto r = tree_matrix();
-  const auto store = SharingPairStore::build(r);
-  EXPECT_GT(store.bytes(), 0u);
-  // Lower bound: the flat arrays actually stored.
-  EXPECT_GE(store.bytes(),
-            store.pair_count() * sizeof(std::uint32_t) +
-                store.shared_link_entries() * sizeof(std::uint32_t));
-}
-
 }  // namespace
 }  // namespace losstomo::core

@@ -100,7 +100,7 @@ TEST(LiaCliArgs, ScenarioMetricsSnapshotIsWritten) {
   const std::string text = os.str();
   EXPECT_NE(text.find("\"schema\": \"losstomo.metrics\""), std::string::npos);
   EXPECT_NE(text.find("\"scenario.ticks\""), std::string::npos);
-  EXPECT_NE(text.find("\"monitor.rank1_updates\""), std::string::npos);
+  EXPECT_NE(text.find("\"monitor.refactorizations\""), std::string::npos);
   EXPECT_NE(text.find("\"span.tick.seconds\""), std::string::npos);
   EXPECT_NE(text.find("\"flight_recorder\""), std::string::npos);
   std::remove(metrics.c_str());

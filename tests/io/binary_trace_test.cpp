@@ -199,63 +199,6 @@ TEST(BinaryTrace, TrailingGarbageIsCorrupt) {
   EXPECT_EQ(kind_of(image), CheckpointErrorKind::kCorrupt);
 }
 
-TEST(BinaryTrace, TrustedOpenSkipsOnlyThePayloadPass) {
-  const auto image = file_bytes(sample_trace());
-  const auto trust = BinaryTraceReader::PayloadCheck::kTrust;
-
-  // An intact trace reads identically under either mode.
-  {
-    const auto verified = BinaryTraceReader::from_bytes(image);
-    const auto trusted = BinaryTraceReader::from_bytes(image, trust);
-    ASSERT_EQ(trusted.snapshots(), verified.snapshots());
-    const auto a = verified.rows(0, verified.snapshots());
-    const auto b = trusted.rows(0, trusted.snapshots());
-    EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(double)));
-  }
-
-  // kTrust skips exactly the payload-CRC pass: a payload flip goes
-  // undetected (the caller vouched for the payload)...
-  {
-    auto damaged = image;
-    damaged[70] ^= 0x04;
-    EXPECT_EQ(kind_of(damaged), CheckpointErrorKind::kCorrupt);
-    EXPECT_NO_THROW(BinaryTraceReader::from_bytes(damaged, trust));
-  }
-
-  // ...but every header check still runs: magic, version, header CRC,
-  // and length consistency reject with the same typed kinds.
-  const auto trusted_kind = [&](std::vector<std::uint8_t> bytes) {
-    try {
-      const auto reader = BinaryTraceReader::from_bytes(std::move(bytes),
-                                                        trust);
-      ADD_FAILURE() << "damaged header accepted under kTrust";
-      return CheckpointErrorKind::kIo;
-    } catch (const CheckpointError& e) {
-      return e.kind();
-    }
-  };
-  {
-    auto damaged = image;
-    damaged[0] ^= 0x01;
-    EXPECT_EQ(trusted_kind(damaged), CheckpointErrorKind::kBadMagic);
-  }
-  {
-    auto damaged = image;
-    damaged[4] ^= 0x01;
-    EXPECT_EQ(trusted_kind(damaged), CheckpointErrorKind::kBadVersion);
-  }
-  {
-    auto damaged = image;
-    damaged[16] ^= 0x01;  // paths field, caught by the header CRC
-    EXPECT_EQ(trusted_kind(damaged), CheckpointErrorKind::kCorrupt);
-  }
-  {
-    auto prefix = image;
-    prefix.resize(image.size() - 8);
-    EXPECT_EQ(trusted_kind(prefix), CheckpointErrorKind::kTruncated);
-  }
-}
-
 TEST(BinaryTrace, OversizedDimensionsDoNotAllocate) {
   // A lying header promising ~2^61 values must be rejected by arithmetic,
   // not by an allocation attempt or an overflow wrap.  The header CRC is

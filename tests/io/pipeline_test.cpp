@@ -308,13 +308,10 @@ TEST(Pipeline, BinaryIngestionInferencesBitIdenticalToTextPath) {
             << label << " tick " << t << " link " << k;
       }
     }
-    // Same per-tick work on both paths: the factor cache behaved
-    // identically (keep-all never refactorizes after the first learn).
-    const auto& text_eqs = text_monitor.streaming_equations();
-    const auto& binary_eqs = binary_monitor.streaming_equations();
-    EXPECT_EQ(binary_eqs.refactorizations(), text_eqs.refactorizations())
-        << label;
-    EXPECT_EQ(binary_eqs.rank1_updates(), text_eqs.rank1_updates())
+    // Same per-tick work on both paths (keep-all never refactorizes after
+    // the first learn).
+    EXPECT_EQ(binary_monitor.streaming_equations().refactorizations(),
+              text_monitor.streaming_equations().refactorizations())
         << label;
   }
 }

@@ -108,7 +108,7 @@ TEST(Histogram, ObserveTracksCountSumMinMax) {
 
 TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
   Registry registry;
-  Counter& det_counter = registry.counter("monitor.rank1_updates");
+  Counter& det_counter = registry.counter("monitor.refactorizations");
   Gauge& det_gauge = registry.gauge("monitor.paths");
   Counter& wall = registry.counter("ingest.wall_ns",
                                    Determinism::kNondeterministic);
@@ -123,13 +123,13 @@ TEST(Registry, DeterministicValuesSelectsTaggedMetricsOnly) {
 
   const auto values = registry.deterministic_values();
   EXPECT_EQ(values.size(), 2u);
-  ASSERT_TRUE(values.contains("monitor.rank1_updates"));
+  ASSERT_TRUE(values.contains("monitor.refactorizations"));
   ASSERT_TRUE(values.contains("monitor.paths"));
   EXPECT_FALSE(values.contains("ingest.wall_ns"));
   EXPECT_FALSE(values.contains("ingest.queue_depth"));
   EXPECT_FALSE(values.contains("span.tick.seconds"));
 #ifndef LOSSTOMO_NO_TELEMETRY
-  EXPECT_EQ(values.at("monitor.rank1_updates"), 41u);
+  EXPECT_EQ(values.at("monitor.refactorizations"), 41u);
 #endif
 }
 
@@ -153,13 +153,13 @@ TEST(Registry, JsonExportCarriesSchemaAndSections) {
 
 TEST(Registry, PrometheusExportMangledNamesAndInfBucket) {
   Registry registry;
-  registry.counter("monitor.rank1_updates").set(3);
+  registry.counter("monitor.refactorizations").set(3);
   registry.histogram("span.tick.seconds").observe(0.25);
   std::ostringstream os;
   registry.write_prometheus(os);
   const std::string text = os.str();
-  EXPECT_NE(text.find("losstomo_monitor_rank1_updates"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE losstomo_monitor_rank1_updates counter"),
+  EXPECT_NE(text.find("losstomo_monitor_refactorizations"), std::string::npos);
+  EXPECT_NE(text.find("# TYPE losstomo_monitor_refactorizations counter"),
             std::string::npos);
   EXPECT_NE(text.find("losstomo_span_tick_seconds_bucket"), std::string::npos);
   EXPECT_NE(text.find("le=\"+Inf\""), std::string::npos);

@@ -81,7 +81,7 @@ TEST(TelemetryDeterminism, BitIdenticalAcrossThreads) {
   ASSERT_FALSE(reference.empty());
   // Spot checks that the map actually covers the engine counters this
   // fuzzer exists to pin — an accidentally-empty registry passes nothing.
-  EXPECT_TRUE(reference.contains("monitor.rank1_updates"));
+  EXPECT_TRUE(reference.contains("monitor.links_grown"));
   EXPECT_TRUE(reference.contains("monitor.refactorizations"));
   EXPECT_TRUE(reference.contains("monitor.pairs"));
   EXPECT_TRUE(reference.contains("scenario.ticks"));

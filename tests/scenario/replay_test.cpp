@@ -101,7 +101,6 @@ TEST(ScenarioReplay, ReplayIsBitIdenticalAcrossThreadCounts) {
     }
     const auto& eqs = replayer.monitor().streaming_equations();
     EXPECT_EQ(eqs.refactorizations(), ref_eqs.refactorizations()) << label;
-    EXPECT_EQ(eqs.rank1_updates(), ref_eqs.rank1_updates()) << label;
     // Events still applied on schedule during replay.
     EXPECT_EQ(replayer.events_applied(), recorder.events_applied()) << label;
   }

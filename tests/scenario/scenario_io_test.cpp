@@ -254,7 +254,7 @@ TEST(ScenarioIo, ShippedScenariosParse) {
   // The scripts shipped in scenarios/ stay loadable.
   for (const char* name :
        {"stable_tree", "flapping_mesh", "growing_overlay", "regime_shift",
-        "failover"}) {
+        "failover", "mass_growth"}) {
     SCOPED_TRACE(name);
     EXPECT_NO_THROW({
       const auto spec =
