@@ -12,10 +12,6 @@ const VarianceEstimate& Lia::learn(const stats::SnapshotMatrix& history) {
   return adopt(estimate_link_variances(r_, history, options_.variance));
 }
 
-const VarianceEstimate& Lia::learn(const stats::CovarianceSource& source) {
-  return adopt(estimate_link_variances(r_, source, options_.variance));
-}
-
 const VarianceEstimate& Lia::learn_from_variances(linalg::Vector variances) {
   VarianceEstimate est;
   est.v = std::move(variances);

@@ -20,7 +20,6 @@
 #include "core/loss_solver.hpp"
 #include "core/variance_estimator.hpp"
 #include "linalg/sparse.hpp"
-#include "stats/covariance_source.hpp"
 #include "stats/moments.hpp"
 
 namespace losstomo::core {
@@ -49,11 +48,6 @@ class Lia {
   /// std::invalid_argument).  Cost: the Phase-1 covariance-system build —
   /// see estimate_link_variances — plus the O(kept^2 * nc) elimination.
   const VarianceEstimate& learn(const stats::SnapshotMatrix& history);
-
-  /// Phase 1 from an abstract covariance source (batch wrapper or the
-  /// streaming sliding-window accumulator).  Preconditions: source.dim()
-  /// == routing().rows(), source.count() >= 2.
-  const VarianceEstimate& learn(const stats::CovarianceSource& source);
 
   /// Phase 1 bypass for callers that already know the variances (tests,
   /// delay extension).  `variances.size()` must equal routing().cols().

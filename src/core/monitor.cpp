@@ -225,12 +225,6 @@ void LiaMonitor::set_path_active(std::size_t path, bool active) {
   }
 }
 
-std::size_t LiaMonitor::add_path(std::vector<std::uint32_t> links) {
-  std::vector<std::vector<std::uint32_t>> rows;
-  rows.push_back(std::move(links));
-  return add_paths(std::move(rows));
-}
-
 std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
                                   std::size_t new_links) {
   require_drop_negative(options_);

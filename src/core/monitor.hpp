@@ -45,14 +45,14 @@
 //
 // Path churn (scenario engine, src/scenario/): the monitored overlay may
 // evolve mid-run — paths join, leave, change routes, and arrive in mass-
-// growth bursts.  Routing-matrix rows can be appended one at a time
-// (add_path) or as a batch (add_paths — one O(appended nnz) append + one
-// accumulator growth for the whole burst, state-identical to the per-row
-// loop), and activated/retired (set_path_active), while the streaming
-// state carries over untouched for every unaffected path.  The *link*
-// universe can grow too: add_paths rows may reference fresh columns
-// (new_links), which enter G as zero rows and columns, pinned to zero
-// variance by the solve until pair equations cover them.
+// growth bursts.  Routing-matrix rows are appended in batches (add_paths —
+// one O(appended nnz) append + one accumulator growth for the whole burst,
+// state-identical to a loop of one-row batches), and activated/retired
+// (set_path_active), while the streaming state carries over untouched for
+// every unaffected path.  The *link* universe can grow too: add_paths rows
+// may reference fresh columns (new_links), which enter G as zero rows and
+// columns, pinned to zero variance by the solve until pair equations cover
+// them.
 // A (re)joining path warms up for one full window before its pair
 // equations enter Phase 1 (exactly the warm-up the initial window
 // imposes), and every churn event forces a relearn at the next
@@ -185,16 +185,10 @@ class LiaMonitor {
   /// policy (throws std::logic_error otherwise).
   void set_path_active(std::size_t path, bool active);
 
-  /// Appends a new path (row) over the existing link universe; `links`
-  /// must be column indices < routing().cols().  The path starts active
-  /// with zero history.  Returns its row index.  Equivalent to a
-  /// single-row add_paths().
-  std::size_t add_path(std::vector<std::uint32_t> links);
-
   /// Mass growth: appends a batch of paths in ONE step — one O(appended
   /// nnz) routing-matrix append, one pair-store growth, one accumulator
   /// reallocation, one grouped normal-equation registration — where a loop
-  /// of add_path calls would pay the accumulator/bookkeeping resize per
+  /// of one-row calls would pay the accumulator/bookkeeping resize per
   /// row.  State-identical to that loop (bit-parity pinned by
   /// tests/core/monitor_growth_test).
   ///
@@ -270,7 +264,7 @@ class LiaMonitor {
   void publish_telemetry();
 
   MonitorOptions options_;
-  linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_path)
+  linalg::SparseBinaryMatrix r_;  // authoritative (grows under add_paths)
   std::shared_ptr<SharingPairStore> store_;  // kSharingPairs only
   // The window statistics, picked by the policy (make_accumulator).
   std::unique_ptr<stats::WindowAccumulator> accumulator_;

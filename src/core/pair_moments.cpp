@@ -44,7 +44,7 @@ void PairMoments::fold(double wr, double wa) {
 
 void PairMoments::push(std::span<const double> y) {
   if (values_.size() != store_->pair_count()) {
-    throw std::logic_error("pair store grew without PairMoments::add_path");
+    throw std::logic_error("pair store grew without PairMoments::add_paths");
   }
   window_.push(y, [this](double wr, double wa) { fold(wr, wa); },
                [this] { refresh(); });

@@ -40,7 +40,7 @@ namespace losstomo::core {
 
 /// Pair-indexed sparse sliding-window covariance accumulator.
 ///
-/// Thread-safety: single-writer (push/refresh/add_path/activate mutate);
+/// Thread-safety: single-writer (push/refresh/add_paths/activate mutate);
 /// reads parallelize internally per options.threads with bit-identical
 /// results at any thread count.
 class PairMoments final : public stats::WindowAccumulator {
@@ -71,7 +71,6 @@ class PairMoments final : public stats::WindowAccumulator {
   /// Unsupported: the full S is exactly what this accumulator avoids.
   /// Throws std::logic_error.
   [[nodiscard]] stats::CovarianceView view() const override;
-  [[nodiscard]] bool view_is_cheap() const override { return false; }
 
   /// Covariance of stored pair p — the O(1) read the aligned
   /// StreamingNormalEquations refresh uses.  Requires count() >= 2.

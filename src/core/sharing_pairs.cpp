@@ -112,14 +112,6 @@ SharingPairStore SharingPairStore::build(const linalg::SparseBinaryMatrix& r,
   return store;
 }
 
-std::size_t SharingPairStore::add_row(const linalg::SparseBinaryMatrix& r) {
-  if (r.rows() != path_count() + 1) {
-    throw std::invalid_argument(
-        "add_row: routing matrix must contain exactly one new trailing row");
-  }
-  return add_rows(r);
-}
-
 std::size_t SharingPairStore::add_rows(const linalg::SparseBinaryMatrix& r) {
   if (r.rows() < path_count()) {
     throw std::invalid_argument(

@@ -13,10 +13,11 @@
 // appears in the path list of some link of i.
 //
 //  * PartnerFinder — stamp-based candidate discovery, O(sum over links of i
-//    of |paths(link)|) per row plus a sort; no allocation per call.  Used
-//    directly by the one-shot batch accumulation (no storage).
-//  * SharingPairStore — CSR-style materialization for streaming consumers
-//    that re-read the pairs every tick: per-path pair ranges, partner
+//    of |paths(link)|) per row plus a sort; no allocation per call.  The
+//    chunk-parallel SharingPairStore::build runs one per worker.
+//  * SharingPairStore — CSR-style materialization for the drop-negative
+//    normal equations (batch and streaming alike), which re-read the pairs
+//    every refresh: per-path pair ranges, partner
 //    indices, and the shared-link sublists, all in flat arrays.  Memory is
 //    O(sharing pairs + shared-link entries) — the sharing structure's nnz —
 //    never O(np^2).  Construction is chunk-parallel and deterministic
@@ -67,7 +68,7 @@ class PartnerFinder {
 /// Pairs built by build() are indexed 0..pair_count() in (i asc, j asc)
 /// order — the same order a row-major scan of the upper triangle produces,
 /// so consumers that previously iterated all pairs and skipped non-sharing
-/// ones see an identical sequence.  Rows appended later by add_row() (path
+/// ones see an identical sequence.  Rows appended later by add_rows() (path
 /// churn: a path joins the overlay after the store was built) keep their
 /// pairs contiguous in their own row, with the *partner* index on either
 /// side of the row index; the overall pair order stays deterministic —
@@ -75,7 +76,7 @@ class PartnerFinder {
 /// need.
 ///
 /// Thread-safety: the structural readers (for_pairs, links, partner, row
-/// ranges) are safe to call concurrently once no mutator (add_row,
+/// ranges) are safe to call concurrently once no mutator (add_rows,
 /// set_row_live, first pairs_of_path call — it builds the reverse index
 /// lazily) is running.  Mutation is single-writer.
 class SharingPairStore {
@@ -93,24 +94,16 @@ class SharingPairStore {
   static SharingPairStore build(const linalg::SparseBinaryMatrix& r,
                                 std::size_t threads = 0);
 
-  /// Incrementally appends the sharing pairs of one new path.  `r` must be
-  /// the grown routing matrix whose LAST row (index path_count()) is the
-  /// new path; every earlier row must match what the store was built from.
-  /// The new row's pairs cover all partners j <= new index (including the
-  /// diagonal), ascending.  Returns the index of the first appended pair.
-  /// Cost: the total column-list length of the new path's links plus one
-  /// sorted intersection per sharing partner — never a rebuild.
-  std::size_t add_row(const linalg::SparseBinaryMatrix& r);
-
-  /// Batched growth: appends every row of `r` beyond path_count(), in row
-  /// order — the exact pair sequence the equivalent add_row loop would
-  /// produce (rows appended earlier in the batch are sharing partners of
-  /// later ones).  `r` may also carry new trailing columns (a growing link
-  /// universe); the transpose incidence extends to cover them.  Returns
-  /// the index of the first appended pair.  Cost: O(appended nnz +
-  /// discovered partners) — one pass, no rebuild, no per-row routing
-  /// matrix copies.  Throws std::invalid_argument when `r` has fewer rows
-  /// than the store.
+  /// Incrementally appends every row of `r` beyond path_count(), in row
+  /// order; every earlier row must match what the store was built from.
+  /// Each new row's pairs cover all partners j <= its index (including the
+  /// diagonal), ascending — rows appended earlier in the batch are sharing
+  /// partners of later ones, so one call equals a loop of one-row calls.
+  /// `r` may also carry new trailing columns (a growing link universe);
+  /// the transpose incidence extends to cover them.  Returns the index of
+  /// the first appended pair.  Cost: O(appended nnz + discovered partners)
+  /// — one pass, no rebuild, no per-row routing matrix copies.  Throws
+  /// std::invalid_argument when `r` has fewer rows than the store.
   std::size_t add_rows(const linalg::SparseBinaryMatrix& r);
 
   /// Row liveness (path churn): a dead row's pairs stay in the store —
@@ -164,7 +157,7 @@ class SharingPairStore {
   /// Calls fn(p, i, j, shared_links) for every pair index p in
   /// [begin, end) in ascending order, resolving the row path i via the
   /// row offsets (O(log np) once, then amortized O(1) per pair).  For
-  /// build()-time pairs j >= i; for add_row() pairs j may be on either
+  /// build()-time pairs j >= i; for add_rows() pairs j may be on either
   /// side (consumers treat (i, j) symmetrically).
   template <typename Fn>
   void for_pairs(std::size_t begin, std::size_t end, Fn&& fn) const {
@@ -206,7 +199,7 @@ class SharingPairStore {
   std::vector<std::uint32_t> links_;       // concatenated shared-link lists
   std::vector<std::uint8_t> row_live_;     // per path
   // Transpose incidence of the routing matrix the store was built from,
-  // maintained by add_row; powers incremental partner discovery.
+  // maintained by add_rows; powers incremental partner discovery.
   std::vector<std::vector<std::uint32_t>> columns_;
   // Lazily built: pair ids where the path appears as the *partner* (its
   // own-row pairs are already contiguous via row_offsets_).

@@ -17,226 +17,17 @@ namespace losstomo::core {
 
 namespace {
 
-// Largest path count for which kAuto resolves to the pairwise
-// (drop-negative) accumulation; beyond it the closed form (keep-all),
-// whose cost is independent of the number of path pairs.
+// Largest path count for which kAuto resolves to the drop-negative policy
+// (pairwise equations over the sharing-pair store); beyond it keep-all,
+// whose closed form costs nothing per path pair.
 constexpr std::size_t kPairwisePathCap = 2000;
 
-// Deterministic estimate of the pair-sharing structure: how many path
-// pairs share at least one link (fraction f) and how many links a sharing
-// pair shares on average.  Samples up to `kSamples` pairs on a fixed stride
-// over the packed upper-triangle pair index — no RNG, no dependence on the
-// thread count.
-struct SharingEstimate {
-  double fraction = 0.0;      // sharing pairs / all pairs
-  double mean_shared = 0.0;   // avg |shared| over sharing samples
-};
-
-SharingEstimate estimate_sharing(const linalg::SparseBinaryMatrix& r) {
-  const std::size_t np = r.rows();
-  const std::size_t total = pair_count(np);
-  constexpr std::size_t kSamples = 2048;
-  const std::size_t stride = std::max<std::size_t>(1, total / kSamples);
-  std::vector<std::uint32_t> shared;
-  std::size_t samples = 0, sharing = 0, shared_links = 0;
-  std::size_t i = 0;
-  std::size_t row_base = 0;  // packed index of pair (i, i)
-  for (std::size_t p = 0; p < total; p += stride) {
-    while (p >= row_base + (np - i)) {
-      row_base += np - i;
-      ++i;
-    }
-    const std::size_t j = i + (p - row_base);
-    linalg::intersect_sorted(r.row(i), r.row(j), shared);
-    ++samples;
-    if (!shared.empty()) {
-      ++sharing;
-      shared_links += shared.size();
-    }
+void check_snapshots(const linalg::SparseBinaryMatrix& r,
+                     const stats::SnapshotMatrix& y) {
+  if (y.dim() != r.rows()) {
+    throw std::invalid_argument("snapshot dimension != path count");
   }
-  SharingEstimate est;
-  if (samples > 0) {
-    est.fraction = static_cast<double>(sharing) / static_cast<double>(samples);
-  }
-  if (sharing > 0) {
-    est.mean_shared =
-        static_cast<double>(shared_links) / static_cast<double>(sharing);
-  }
-  return est;
-}
-
-// Blocked/parallel pairwise accumulation over a CovarianceSource.  Two
-// covariance strategies, chosen from the sampled sharing structure (a pure
-// function of the problem, so the choice is reproducible):
-//  * dense sharing — or any source that already holds S (streaming
-//    accumulators): read S(i, j) per pair, removing the seed's O(m) inner
-//    loop from every pair;
-//  * sparse sharing on a batch source: most pairs carry no equation, so
-//    both the covariances AND the pair visits themselves are wasted work —
-//    candidate discovery through the column lists (core/sharing_pairs.hpp
-//    PartnerFinder) enumerates only the pairs that share a link, and the
-//    on-demand per-pair covariance runs for exactly those.  The visited
-//    sharing pairs come back in the same (i asc, j asc) order the full
-//    upper-triangle scan produced, so the accumulated sums are unchanged.
-// Either way G/h are folded over path-row chunks with per-chunk partials;
-// chunk boundaries depend only on the problem size, so the reduction order
-// — and therefore the result — is bit-identical at any thread count.
-//
-// Caveat vs the scalar reference (tests/reference_estimator.hpp): under
-// the matrix strategy a pair whose true covariance sits within an ulp of
-// zero can round to the opposite sign than the scalar sum and flip its
-// drop decision (one whole equation).  The parity guarantee therefore
-// assumes no covariance is exactly at the zero boundary — sampling noise
-// makes that measure-zero in practice.
-NormalEquations accumulate_pairwise_blocked(const linalg::SparseBinaryMatrix& r,
-                                            const stats::CovarianceSource& y,
-                                            bool drop_negative,
-                                            std::size_t threads) {
-  const std::size_t np = r.rows();
-  const std::size_t nc = r.cols();
-  const std::size_t m = y.count();
-  if (np == 0) {
-    return NormalEquations{linalg::Matrix(nc, nc), linalg::Vector(nc, 0.0)};
-  }
-  const SharingEstimate sharing = estimate_sharing(r);
-  // The full matrix pays off once a meaningful fraction of pairs would
-  // otherwise run the O(m) scalar loop — or comes for free from the source.
-  const bool use_matrix = sharing.fraction >= 0.125 || y.view_is_cheap();
-  const std::optional<stats::CovarianceView> s =
-      use_matrix ? std::optional(y.view()) : std::nullopt;
-  const std::span<const double> flat = use_matrix ? std::span<const double>{}
-                                                  : y.centered_flat();
-
-  // Balance chunk count against the per-chunk partial cost: each extra
-  // chunk buys 1/chunks of the pair-loop work but costs an nc^2 partial
-  // (copy-init + reduce).  All inputs are problem sizes or the
-  // deterministic sharing sample, never the thread count.
-  double row_len = 0.0;
-  for (std::size_t i = 0; i < np; ++i) row_len += static_cast<double>(r.row(i).size());
-  row_len /= static_cast<double>(std::max<std::size_t>(np, 1));
-  const double pair_ops =
-      static_cast<double>(pair_count(np)) *
-      (2.0 * row_len +
-       sharing.fraction * (sharing.mean_shared * sharing.mean_shared +
-                           (use_matrix ? 1.0 : static_cast<double>(m))));
-  const double chunk_overhead = 4.0 * static_cast<double>(nc) * static_cast<double>(nc);
-  const std::size_t partial_bytes = nc * nc * sizeof(double) + nc * sizeof(double);
-  const std::size_t budget_chunks = std::max<std::size_t>(
-      1, (std::size_t{1} << 28) / std::max<std::size_t>(partial_bytes, 1));
-  const std::size_t want_chunks = static_cast<std::size_t>(std::clamp(
-      pair_ops / (8.0 * chunk_overhead), 1.0, 32.0));
-  const std::size_t chunks = std::min({want_chunks, budget_chunks, np});
-
-  // Sparse sharing: visit only the pairs that share a link, discovered
-  // through the transpose incidence.  The column lists are shared across
-  // chunks; each chunk owns its PartnerFinder (stamp array).
-  const std::vector<std::vector<std::uint32_t>> columns =
-      use_matrix ? std::vector<std::vector<std::uint32_t>>{}
-                 : r.column_lists();
-
-  const auto body = [&](NormalEquations& part, std::size_t i_begin,
-                        std::size_t i_end) {
-        std::vector<std::uint32_t> shared;
-        std::optional<PartnerFinder> finder;
-        std::vector<std::uint32_t> partners;
-        if (!use_matrix) finder.emplace(r, columns);
-        const auto accumulate = [&](std::size_t i, std::size_t j,
-                                    const double* si) {
-          linalg::intersect_sorted(r.row(i), r.row(j), shared);
-          if (shared.empty()) return;
-          double cov;
-          if (use_matrix) {
-            cov = si[j] * s->scale;
-          } else if (!flat.empty()) {
-            // On-demand covariance, identical to the scalar reference.
-            cov = 0.0;
-            const double* pi = flat.data() + i;
-            const double* pj = flat.data() + j;
-            for (std::size_t l = 0; l < m; ++l, pi += np, pj += np) {
-              cov += *pi * *pj;
-            }
-            cov /= static_cast<double>(m - 1);
-          } else {
-            cov = y.covariance(i, j);
-          }
-          if (drop_negative && cov < 0.0) {
-            ++part.dropped;
-            return;
-          }
-          ++part.used;
-          for (const auto a : shared) {
-            part.h[a] += cov;
-            for (const auto b : shared) part.g(a, b) += 1.0;
-          }
-        };
-        for (std::size_t i = i_begin; i < i_end; ++i) {
-          if (use_matrix) {
-            const double* si = s->c.row(i).data();
-            for (std::size_t j = i; j < np; ++j) accumulate(i, j, si);
-          } else {
-            finder->partners_of(i, partners);
-            for (const auto j : partners) accumulate(i, j, nullptr);
-          }
-        }
-  };
-
-  NormalEquations acc{linalg::Matrix(nc, nc), linalg::Vector(nc, 0.0)};
-  if (chunks <= 1) {
-    body(acc, 0, np);
-    return acc;
-  }
-
-  // Chunk boundaries balanced by *pair* count: row i carries np - i pairs,
-  // so equal-width row ranges would load the first chunk with ~2x the
-  // average work and cap parallel scaling.  Boundaries depend only on
-  // (np, chunks) — the fixed reduction order below is untouched.
-  std::vector<std::size_t> bounds(chunks + 1, np);
-  bounds[0] = 0;
-  {
-    const double per_chunk =
-        static_cast<double>(pair_count(np)) / static_cast<double>(chunks);
-    std::size_t i = 0;
-    double covered = 0.0;
-    for (std::size_t c = 1; c < chunks; ++c) {
-      const double target = per_chunk * static_cast<double>(c);
-      while (i < np && covered < target) {
-        covered += static_cast<double>(np - i);
-        ++i;
-      }
-      bounds[c] = i;
-    }
-  }
-
-  std::vector<NormalEquations> partials(chunks, acc);
-  util::ThreadPool::global().run(
-      chunks,
-      [&](std::size_t c) { body(partials[c], bounds[c], bounds[c + 1]); },
-      threads);
-  acc = std::move(partials.front());
-  for (std::size_t c = 1; c < chunks; ++c) {
-    const NormalEquations& part = partials[c];
-    auto& gd = acc.g.data();
-    const auto& pd = part.g.data();
-    for (std::size_t idx = 0; idx < gd.size(); ++idx) gd[idx] += pd[idx];
-    for (std::size_t k = 0; k < acc.h.size(); ++k) acc.h[k] += part.h[k];
-    acc.used += part.used;
-    acc.dropped += part.dropped;
-  }
-  return acc;
-}
-
-// Closed-form accumulation keeping all equations (policy kKeep) from the
-// window's snapshots.  Both the normal matrix and the right-hand side are
-// assembled in parallel inside core/augmented_matrix.cpp.
-NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
-                                       const stats::SnapshotWindow& y,
-                                       std::size_t threads) {
-  NormalEquations sys;
-  const linalg::CoTraversalGram gram(r);
-  sys.g = augmented_normal_matrix(gram, threads);
-  sys.h = augmented_normal_rhs(y, r, threads);
-  sys.used = pair_count(r.rows());
-  return sys;
+  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
 }
 
 // Rank-revealing fallback for a drop-negative G left singular (or
@@ -246,8 +37,7 @@ NormalEquations accumulate_closed_form(const linalg::SparseBinaryMatrix& r,
 // pinned to zero variance — the same degradation the dense-QR path gets
 // from its pivoted fallback, instead of a jitter-amplified solution on the
 // full singular system.  Deterministic: pivot selection depends only on G,
-// which both the batch accumulation and the streaming integer maintenance
-// produce exactly.
+// an exact integer sum over the kept pairs.
 linalg::Vector solve_rank_revealing(const linalg::Matrix& g,
                                     const linalg::Vector& h,
                                     std::size_t& pinned) {
@@ -295,16 +85,6 @@ VarianceEstimate finish(linalg::Vector v, VarianceEstimate partial) {
   }
   partial.v = std::move(v);
   return partial;
-}
-
-NormalEquations build_normal_equations_centered(
-    const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& centered,
-    const VarianceOptions& options) {
-  if (!resolve_negative_policy(options, r.rows())) {
-    return accumulate_closed_form(r, centered.window(), options.threads);
-  }
-  const stats::BatchCovarianceSource source(centered, options.threads);
-  return accumulate_pairwise_blocked(r, source, true, options.threads);
 }
 
 // Paper-exact dense path: materialise A, drop rows whose packed covariance
@@ -359,7 +139,8 @@ VarianceEstimate dense_qr_estimate(const linalg::SparseBinaryMatrix& r,
   return finish(linalg::PivotedQr(a).solve_basic(sigma), std::move(est));
 }
 
-// Shared normal-equation tail of both estimate_link_variances overloads.
+// Normal-equation tail of estimate_link_variances (kNormal and kNnls) and
+// of the drop-negative streaming solve.
 VarianceEstimate solve_normal_system(NormalEquations sys, VarianceMethod method,
                                      bool drop_negative,
                                      const VarianceOptions& options) {
@@ -396,6 +177,16 @@ VarianceEstimate solve_normal_system(NormalEquations sys, VarianceMethod method,
   return finish(chol.solve(sys.h), std::move(est));
 }
 
+// Adds `sign` times pair p's equation to g: +/-1 on the block of its
+// shared links.  Integer counts, so the order of folds never matters and g
+// always equals a from-scratch sum over the kept pairs.
+void fold_pair(linalg::Matrix& g, std::span<const std::uint32_t> links,
+               double sign) {
+  for (const auto a : links) {
+    for (const auto b : links) g(a, b) += sign;
+  }
+}
+
 }  // namespace
 
 bool resolve_negative_policy(const VarianceOptions& options, std::size_t np) {
@@ -413,36 +204,19 @@ bool resolve_negative_policy(const VarianceOptions& options, std::size_t np) {
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
                                        const VarianceOptions& options) {
-  if (y.dim() != r.rows()) {
-    throw std::invalid_argument("snapshot dimension != path count");
-  }
-  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-  const stats::CenteredSnapshots centered(y);
-  return build_normal_equations_centered(r, centered, options);
-}
-
-NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
-                                       const stats::CovarianceSource& source,
-                                       const VarianceOptions& options) {
-  if (source.dim() != r.rows()) {
-    throw std::invalid_argument("source dimension != path count");
-  }
-  if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-  if (resolve_negative_policy(options, r.rows())) {
-    return accumulate_pairwise_blocked(r, source, true, options.threads);
-  }
-  return accumulate_closed_form(r, source.snapshots(), options.threads);
+  check_snapshots(r, y);
+  // One assembly for batch and streaming: the batch system is a fresh
+  // streaming instance's first refresh over the centred window.
+  const stats::BatchCovarianceSource source(y, options.threads);
+  VarianceOptions normal = options;
+  normal.method = VarianceMethod::kNormal;
+  return StreamingNormalEquations(r, normal).refresh(source);
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::SnapshotMatrix& y,
                                          const VarianceOptions& options) {
-  if (y.dim() != r.rows()) {
-    throw std::invalid_argument("snapshot dimension != path count");
-  }
-  if (y.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-  const stats::CenteredSnapshots centered(y);
-
+  check_snapshots(r, y);
   // Resolve the auto knobs.
   VarianceMethod method = options.method;
   if (method == VarianceMethod::kAuto) {
@@ -451,37 +225,14 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
   const bool drop_negative = resolve_negative_policy(options, r.rows());
 
   if (method == VarianceMethod::kDenseQr) {
+    const stats::CenteredSnapshots centered(y);
     const auto s = stats::covariance_matrix(centered, options.threads);
     return dense_qr_estimate(r, packed_covariances({s, 1.0}), drop_negative,
                              options);
   }
-
-  return solve_normal_system(build_normal_equations_centered(r, centered, options),
-                             method, drop_negative, options);
-}
-
-VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
-                                         const stats::CovarianceSource& source,
-                                         const VarianceOptions& options) {
-  if (source.dim() != r.rows()) {
-    throw std::invalid_argument("source dimension != path count");
-  }
-  if (source.count() < 2) throw std::invalid_argument("need >= 2 snapshots");
-
-  VarianceMethod method = options.method;
-  if (method == VarianceMethod::kAuto) {
-    method = VarianceMethod::kNormal;
-  }
-  const bool drop_negative = resolve_negative_policy(options, r.rows());
-
-  if (method == VarianceMethod::kDenseQr) {
-    return dense_qr_estimate(r, packed_covariances(source.view()),
-                             drop_negative, options);
-  }
-  return solve_normal_system(build_normal_equations(r, source, options), method,
+  return solve_normal_system(build_normal_equations(r, y, options), method,
                              drop_negative, options);
 }
-
 
 StreamingNormalEquations::StreamingNormalEquations(
     const linalg::SparseBinaryMatrix& r, const VarianceOptions& options)
@@ -534,18 +285,11 @@ void StreamingNormalEquations::ensure_store() {
   routing_.reset();
 }
 
-// Folds the flipped pairs into G: integer counts, so the order does not
-// matter and the result exactly matches a from-scratch accumulation over
-// the current kept set.
 void StreamingNormalEquations::apply_flips(
     const std::vector<std::size_t>& flips) {
   for (const std::size_t p : flips) {
     pair_kept_[p] ^= 1;
-    const double sign = pair_kept_[p] != 0 ? 1.0 : -1.0;
-    const auto links = pairs_->links(p);
-    for (const auto a : links) {
-      for (const auto b : links) sys_.g(a, b) += sign;
-    }
+    fold_pair(sys_.g, pairs_->links(p), pair_kept_[p] != 0 ? 1.0 : -1.0);
   }
   flips_ += flips.size();
 }
@@ -573,10 +317,6 @@ void StreamingNormalEquations::set_path_live(std::size_t path, bool live) {
   }
   // Going live needs no immediate work: the pairs re-enter through
   // refresh() once the covariance source reports them ready again.
-}
-
-void StreamingNormalEquations::add_path(const linalg::SparseBinaryMatrix& r) {
-  add_paths(r, 1);
 }
 
 void StreamingNormalEquations::add_paths(const linalg::SparseBinaryMatrix& r,
@@ -760,11 +500,6 @@ void StreamingNormalEquations::save_state(io::CheckpointWriter& writer,
   writer.usize(np_);
   writer.usize(nc_);
   writer.boolean(drop_negative_);
-  writer.boolean(refreshed_);
-  writer.doubles(sys_.g.data());
-  writer.doubles(sys_.h);
-  writer.usize(sys_.used);
-  writer.usize(sys_.dropped);
   writer.usize(refactorizations_);
   writer.usize(links_grown_);
   if (drop_negative_) {
@@ -801,21 +536,13 @@ void StreamingNormalEquations::restore_state(
   }
   // Everything parses into locals first; members only move in at the end
   // (no-partial-state guarantee).
-  const bool refreshed = reader.boolean();
-  std::vector<double> g = reader.doubles();
-  std::vector<double> h = reader.doubles();
-  const std::size_t used = reader.usize();
-  const std::size_t dropped = reader.usize();
   const std::size_t refactorizations = reader.usize();
   const std::size_t links_grown = reader.usize();
-  if (g.size() != nc_ * nc_ || h.size() != nc_) {
-    throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
-                              "normal equations G/h have the wrong shape");
-  }
   std::shared_ptr<SharingPairStore> pairs;
   std::vector<std::uint8_t> pair_kept;
   std::size_t flips = 0;
   bool has_store = false;
+  linalg::Matrix g;
   std::optional<linalg::RegularizedCholesky> factor;
   if (drop_negative_) {
     has_store = reader.boolean();
@@ -847,7 +574,22 @@ void StreamingNormalEquations::restore_state(
       throw io::CheckpointError(io::CheckpointErrorKind::kCorrupt,
                                 "kept-pair flags are inconsistent");
     }
+    // G is not serialized: it is the integer sum over the kept pairs.
+    g = linalg::Matrix(nc_, nc_);
+    for (std::size_t p = 0; p < pair_count; ++p) {
+      const auto links = pairs->links(p);
+      if (pair_kept[p] > 1 ||
+          std::any_of(links.begin(), links.end(),
+                      [&](std::uint32_t link) { return link >= nc_; })) {
+        throw io::CheckpointError(
+            io::CheckpointErrorKind::kCorrupt,
+            "kept-pair flag or shared link out of range");
+      }
+      if (pair_kept[p] != 0) fold_pair(g, links, 1.0);
+    }
   } else if (reader.boolean()) {
+    // Keep-all G is the one the constructor built from the routing matrix;
+    // its factor is restored as saved, so resuming factorizes nothing.
     std::vector<double> l = reader.doubles();
     const double jitter_used = reader.f64();
     const int jitter_attempts = static_cast<int>(reader.u32());
@@ -863,15 +605,17 @@ void StreamingNormalEquations::restore_state(
   }
   reader.end_section();
 
-  refreshed_ = refreshed;
-  std::copy(g.begin(), g.end(), sys_.g.data().begin());
-  sys_.h = std::move(h);
-  sys_.used = used;
-  sys_.dropped = dropped;
+  // h, used and dropped are what the next refresh() rebuilds; until then
+  // solve() throws, as on a fresh instance.
+  refreshed_ = false;
+  sys_.h.assign(nc_, 0.0);
   refactorizations_ = refactorizations;
   links_grown_ = links_grown;
   factor_ = std::move(factor);
   if (drop_negative_) {
+    sys_.g = std::move(g);
+    sys_.used = 0;
+    sys_.dropped = 0;
     if (has_store) {
       pairs_ = std::move(pairs);
       routing_.reset();

@@ -6,16 +6,21 @@
 //  * kDenseQr      — materialise A, drop rows with negative sample
 //                    covariance (the paper's policy), Householder QR.
 //                    Exact paper method; only viable for small path sets.
-//  * kNormal       — normal equations G v = h accumulated either pairwise
-//                    (exact drop-negative policy) or in closed form from
-//                    the co-traversal Gram matrix (keep-all policy, scales
-//                    to tens of thousands of paths without materialising
-//                    the np(np+1)/2-row system).
+//  * kNormal       — normal equations G v = h over the kept pair
+//                    equations: pairwise over the sharing pairs
+//                    (drop-negative policy), or in closed form from the
+//                    co-traversal Gram matrix (keep-all policy, scales to
+//                    tens of thousands of paths without materialising the
+//                    np(np+1)/2-row system).
 //  * kNnls         — non-negative least squares on the normal equations;
 //                    enforces v >= 0 by construction (extension, ablated in
 //                    bench/ablation_estimator).
 // kAuto picks per problem size; sampling-noise negatives in the LS solution
 // are clamped to zero and counted.
+//
+// G and h have one producer, StreamingNormalEquations: a batch system is a
+// fresh instance's first refresh() over the centred snapshots, and a
+// monitor's is the same instance refreshed tick after tick.
 #pragma once
 
 #include <cstddef>
@@ -101,31 +106,20 @@ struct NormalEquations {
 /// streaming consumers mirror the batch resolution exactly.
 bool resolve_negative_policy(const VarianceOptions& options, std::size_t np);
 
-/// Assembles the covariance system without solving it — the O(np^2) hot
-/// path the blocked kernels accelerate.  Honours options.negatives /
-/// threads exactly like estimate_link_variances (options.method is
-/// ignored).  Exposed for benchmarking and diagnostics; the scalar
-/// references it is pinned against live in tests/reference_estimator.hpp.
+/// Assembles the covariance system without solving it: centres `y` and
+/// returns the first refresh() of a fresh StreamingNormalEquations over it.
+/// Honours options.negatives / threads exactly like estimate_link_variances
+/// (options.method is ignored).  Exposed for benchmarking and diagnostics;
+/// the scalar references it is pinned against live in
+/// tests/reference_estimator.hpp.
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
-                                       const VarianceOptions& options = {});
-
-/// Same system assembled from an abstract CovarianceSource (batch wrapper
-/// or streaming accumulator).
-NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
-                                       const stats::CovarianceSource& source,
                                        const VarianceOptions& options = {});
 
 /// Estimates link variances from m snapshots of the path observations.
 /// `y` must have dim() == r.rows() and count() >= 2.
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::SnapshotMatrix& y,
-                                         const VarianceOptions& options = {});
-
-/// Estimates link variances from a CovarianceSource; the entry point
-/// Lia::learn(source) uses.  `source.dim()` must equal r.rows().
-VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
-                                         const stats::CovarianceSource& source,
                                          const VarianceOptions& options = {});
 
 /// Incrementally maintained Phase-1 normal equations for monitoring loops.
@@ -136,8 +130,7 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///    the first solve(), and every subsequent solve() is O(nc^2).  refresh()
 ///    reads only the source's snapshot window (CovarianceSource::
 ///    snapshots()) and rebuilds h by the closed form in
-///    O(m (np + nnz(r))) — it never reads S or the cross-products C, so
-///    its h equals the batch estimator's on the same window bit for bit;
+///    O(m (np + nnz(r))) — it never reads S or the cross-products C;
 ///  * drop-negative: the sharing pairs live in a SharingPairStore built
 ///    *lazily* on the first refresh() (chunk-parallel, memory proportional
 ///    to the sharing structure — see core/sharing_pairs.hpp), so
@@ -155,9 +148,9 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
 ///
 /// Under drop-negative, refresh() rebuilds h from the source's current
 /// covariance matrix — cost proportional to the sharing structure,
-/// independent of the window length.  Either way solve() yields the same
-/// clamped estimate as estimate_link_variances on an equal-valued source:
-/// the same G and the same solve, with h equal up to summation order
+/// independent of the window length.  build_normal_equations is a fresh
+/// instance's first refresh(), so either way solve() yields the same
+/// clamped estimate as estimate_link_variances on an equal-valued window
 /// (methods kAuto and kNormal only — the constructors throw
 /// std::invalid_argument for kDenseQr and kNnls, whose callers must use
 /// the batch path).
@@ -204,19 +197,13 @@ class StreamingNormalEquations {
   /// store if needed.
   void set_path_live(std::size_t path, bool live);
 
-  /// Registers one appended path (row r.rows()-1 of the grown routing
-  /// matrix; earlier rows must be unchanged).  Its pairs join the store
+  /// Registers `count` appended paths (the trailing rows of `r`; earlier
+  /// rows must be unchanged) in one step.  Their pairs join the store
   /// dropped — they enter G through refresh() once the covariance source
   /// reports them ready.  With a shared store this is the call that grows
-  /// it: invoke BEFORE PairMoments::add_path.
-  void add_path(const linalg::SparseBinaryMatrix& r);
-
-  /// Batched growth: registers `count` appended paths (the trailing rows
-  /// of `r`; earlier rows must be unchanged) in one step — the pair store
-  /// grows once, state-identical to `count` add_path calls but without the
-  /// per-row bookkeeping resizes.  Rows referencing new links require a
-  /// grow_links() call first (r.cols() must equal the current link count;
-  /// throws std::invalid_argument otherwise).
+  /// it: invoke BEFORE PairMoments::add_paths.  Rows referencing new links
+  /// require a grow_links() call first (r.cols() must equal the current
+  /// link count; throws std::invalid_argument otherwise).
   void add_paths(const linalg::SparseBinaryMatrix& r, std::size_t count);
 
   /// Grows the link universe by `count` fresh trailing columns.  Fresh
@@ -226,7 +213,8 @@ class StreamingNormalEquations {
   void grow_links(std::size_t count);
 
   /// Solves the current system for v: the keep-all factor, computed once,
-  /// or a fresh drop-negative factorization.  Requires a prior refresh().
+  /// or a fresh drop-negative factorization.  Requires a refresh() since
+  /// construction or restore_state (throws std::logic_error otherwise).
   [[nodiscard]] VarianceEstimate solve();
 
   [[nodiscard]] const NormalEquations& system() const { return sys_; }
@@ -260,10 +248,14 @@ class StreamingNormalEquations {
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
-  // Serializes every piece of mutable state the incremental machinery
-  // depends on: the integer-maintained G and rhs, the kept-pair flags, the
-  // counters, and under keep-all the cached RegularizedCholesky factor
-  // (restored via from_state — NO refactorization on resume).  A
+  // Serializes only the state a refresh() cannot rebuild: the kept-pair
+  // flags (and an owned pair store), the counters, and under keep-all the
+  // cached RegularizedCholesky factor (restored via from_state — NO
+  // refactorization on resume).  G, h and the used/dropped counts are
+  // derived: keep-all G is rebuilt from the routing matrix by the
+  // constructor, drop-negative G is rebuilt on restore as the integer sum
+  // over the kept pairs, and h with its counts comes back at the next
+  // refresh(), which a restored instance needs before solve().  A
   // drop-negative instance holds no factor: a restored one factorizes at
   // its next solve, as the uninterrupted one does.  `store_external` is
   // true when the pair store is owned by someone else (the monitor's
@@ -272,7 +264,9 @@ class StreamingNormalEquations {
   // serialized — restore_state targets an instance freshly constructed
   // over the same (already restored) routing matrix and store
   // configuration, and throws io::CheckpointError(kMismatch) on any shape
-  // or policy disagreement.  On failure *this is unchanged.
+  // or policy disagreement, kCorrupt on a kept-pair flag other than 0 or 1
+  // or a shared link outside the link universe.  On failure *this is
+  // unchanged.
   void save_state(io::CheckpointWriter& writer, bool store_external) const;
   void restore_state(io::CheckpointReader& reader,
                      std::shared_ptr<SharingPairStore> shared_store);
@@ -288,7 +282,7 @@ class StreamingNormalEquations {
   bool refreshed_ = false;
   // The routing matrix: under keep-all the closed-form rhs folds paths
   // into links through it; under drop-negative it is retained only until
-  // the pair store is built (kept current by add_path while still lazy).
+  // the pair store is built (kept current by add_paths while still lazy).
   std::optional<linalg::SparseBinaryMatrix> routing_;
   std::shared_ptr<SharingPairStore> pairs_;
   std::vector<std::uint8_t> pair_kept_;

@@ -4,11 +4,13 @@
 // accumulators cannot afford to re-warm from scratch after a process death
 // (ROADMAP: checkpoint/restore + warm failover).  The format here is the
 // substrate every stateful layer serializes through — stats::Rng streams,
-// the streaming accumulators, the sharing-pair store, the incrementally
-// maintained normal equations (with the keep-all Cholesky factor), the
-// monitor, the simulator, and the scenario runner position — so a restored
-// process resumes *bit-identically* mid-run, a keep-all monitor with no
-// refactorization.
+// the streaming accumulators, the sharing-pair store, the normal
+// equations' kept-pair flags and keep-all Cholesky factor, the monitor, the
+// simulator, and the scenario runner position — so a restored process
+// resumes *bit-identically* mid-run, a keep-all monitor with no
+// refactorization.  Images hold state, not what can be derived from it:
+// the normal-equation system G v = h is rebuilt on restore (G) and at the
+// next refresh (h), never read back.
 //
 // File layout (all integers little-endian, fixed width):
 //
@@ -115,7 +117,7 @@ class CheckpointWriter {
   /// finish() + write to `file`; throws CheckpointError(kIo) on failure.
   void save(const std::string& file);
 
-  static constexpr std::uint32_t kVersion = 8;
+  static constexpr std::uint32_t kVersion = 9;
 
  private:
   // The file image: a header slot, sealed in place by finish(), then the

@@ -30,14 +30,10 @@ void PathChurnLedger::restore_state(io::CheckpointReader& reader) {
 
 BatchCovarianceSource::BatchCovarianceSource(const SnapshotMatrix& y,
                                              std::size_t threads)
-    : owned_(CenteredSnapshots(y)), centered_(&*owned_), threads_(threads) {}
-
-BatchCovarianceSource::BatchCovarianceSource(const CenteredSnapshots& centered,
-                                             std::size_t threads)
-    : centered_(&centered), threads_(threads) {}
+    : centered_(y), threads_(threads) {}
 
 CovarianceView BatchCovarianceSource::view() const {
-  if (!cached_) cached_ = covariance_matrix(*centered_, threads_);
+  if (!cached_) cached_ = covariance_matrix(centered_, threads_);
   return {*cached_, 1.0};
 }
 

@@ -4,12 +4,13 @@
 // The covariance system Sigma* = A v only ever consumes pairwise sample
 // covariances of the path observations, or — under keep-all — the
 // snapshots themselves; it does not care how they were produced.  This
-// interface decouples the estimator stack (core::build_normal_equations /
-// core::estimate_link_variances / core::Lia::learn) from the measurement
-// representation:
+// interface decouples the one assembly of that system
+// (core::StreamingNormalEquations::refresh, which the batch
+// core::build_normal_equations runs on a fresh instance) from the
+// measurement representation:
 //
-//  * BatchCovarianceSource — the reference batch path: wraps the centred
-//    m x np snapshot matrix, serves on-demand O(m) pair covariances, and
+//  * BatchCovarianceSource — the batch path: wraps the centred m x np
+//    snapshot matrix, serves on-demand O(m) pair covariances, and
 //    materialises the full covariance matrix S lazily via the blocked SYRK
 //    kernel when a consumer asks for it;
 //  * the streaming accumulators (stats::WindowAccumulator in
@@ -30,7 +31,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -82,22 +82,9 @@ class CovarianceSource {
   [[nodiscard]] virtual double covariance(std::size_t i, std::size_t j) const = 0;
 
   /// Dense view of the full dim() x dim() covariance matrix S.  The first
-  /// call may be expensive (see view_is_cheap); sources that cannot serve
-  /// the dense S throw std::logic_error.
+  /// call may be expensive (the batch source computes S lazily); sources
+  /// that cannot serve the dense S throw std::logic_error.
   [[nodiscard]] virtual CovarianceView view() const = 0;
-
-  /// True when view() is available without significant computation
-  /// (StreamingMoments maintains C; batch sources compute S lazily).
-  /// Consumers use this to pick between view reads and covariance().
-  [[nodiscard]] virtual bool view_is_cheap() const = 0;
-
-  /// Optional fast path: row-major centred samples (count() rows of dim()
-  /// entries) when the implementation stores them; empty otherwise.
-  /// Consumers that stream over raw samples (the sparse-sharing pairwise
-  /// accumulation) use this instead of per-pair covariance() calls.
-  [[nodiscard]] virtual std::span<const double> centered_flat() const {
-    return {};
-  }
 
   /// The count() snapshots the statistics describe, oldest first — what
   /// the keep-all closed form (core::augmented_normal_rhs) reads in place
@@ -183,48 +170,30 @@ class PathChurnLedger {
   std::vector<std::size_t> activated_at_;  // pushes at last activation
 };
 
-/// Batch implementation over a snapshot window: the PR-1 path, unchanged in
-/// behaviour, behind the CovarianceSource interface.
+/// Batch implementation over a snapshot window: the centred snapshots
+/// behind the CovarianceSource interface.
 class BatchCovarianceSource final : public CovarianceSource {
  public:
   /// Centres `y` and owns the result.  `threads` caps the blocked SYRK
   /// worker count when view() materialises S (0 = library default).
   explicit BatchCovarianceSource(const SnapshotMatrix& y,
                                  std::size_t threads = 0);
-  /// Non-owning view over already-centred snapshots; `centered` must
-  /// outlive this source.
-  explicit BatchCovarianceSource(const CenteredSnapshots& centered,
-                                 std::size_t threads = 0);
 
-  // centered_ points into owned_ for the owning constructor, so default
-  // copy/move would dangle.
-  BatchCovarianceSource(const BatchCovarianceSource&) = delete;
-  BatchCovarianceSource& operator=(const BatchCovarianceSource&) = delete;
-
-  [[nodiscard]] std::size_t dim() const override { return centered_->dim(); }
+  [[nodiscard]] std::size_t dim() const override { return centered_.dim(); }
   [[nodiscard]] std::size_t count() const override {
-    return centered_->count();
+    return centered_.count();
   }
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override {
-    return centered_->covariance(i, j);
+    return centered_.covariance(i, j);
   }
   /// {S, 1.0}, S built by the blocked SYRK kernel on first use.
   [[nodiscard]] CovarianceView view() const override;
-  [[nodiscard]] bool view_is_cheap() const override {
-    return cached_.has_value();
-  }
-  [[nodiscard]] std::span<const double> centered_flat() const override {
-    return centered_->flat();
-  }
   [[nodiscard]] SnapshotWindow snapshots() const override {
-    return centered_->window();
+    return centered_.window();
   }
-
-  [[nodiscard]] const CenteredSnapshots& centered() const { return *centered_; }
 
  private:
-  std::optional<CenteredSnapshots> owned_;
-  const CenteredSnapshots* centered_;
+  CenteredSnapshots centered_;
   std::size_t threads_;
   mutable std::optional<linalg::Matrix> cached_;  // lazily built S
 };

@@ -157,10 +157,8 @@ class WindowAccumulator : public CovarianceSource {
   virtual void push(std::span<const double> y) = 0;
   /// Appends `count` dimensions (active, zero samples, all-zero ring
   /// history — exactly the state the incremental updates expect) with one
-  /// reallocation; state-identical to `count` add_path() calls.  Returns
-  /// the first new dimension's index.
+  /// reallocation.  Returns the first new dimension's index.
   virtual std::size_t add_paths(std::size_t count) = 0;
-  std::size_t add_path() { return add_paths(1); }
 
   /// Checkpoint hooks (io/checkpoint.hpp): the window (ring, means, churn
   /// ledger, cadence counters — not the delta scratches) and whatever the
@@ -235,7 +233,6 @@ class SnapshotRing final : public WindowAccumulator {
   /// std::logic_error.
   [[nodiscard]] double covariance(std::size_t i, std::size_t j) const override;
   [[nodiscard]] CovarianceView view() const override;
-  [[nodiscard]] bool view_is_cheap() const override { return false; }
 };
 
 }  // namespace losstomo::stats

@@ -52,7 +52,6 @@ class StreamingMoments final : public WindowAccumulator {
   /// {C, 1/(n-1)}; throws std::logic_error below 2 snapshots.  The view
   /// refers to C and is invalidated by the next push/refresh/add_paths.
   [[nodiscard]] CovarianceView view() const override;
-  [[nodiscard]] bool view_is_cheap() const override { return true; }
 
   /// Recomputes means and C from the retained window (oldest to newest),
   /// discarding accumulated rounding drift.  Runs automatically on the

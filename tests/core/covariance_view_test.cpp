@@ -1,10 +1,10 @@
 // Phase 1 reads S through a stats::CovarianceView {c, scale}.  The systems
 // it builds must equal, bit for bit, the same systems built over a
-// materialised S: the drop-negative refresh (h, used, dropped, pending
-// flips and G) and the batch drop-negative build, on the dense streaming
-// source (C with scale 1/(n-1)) and on the batch source (S with scale
-// 1.0).  The keep-all closed form reads no S; its window kernel is pinned
-// in window_rhs_test.cpp.
+// materialised S: the drop-negative refresh of a running instance (h,
+// used, dropped, pending flips and G) and of a fresh one (the batch
+// build), on the dense streaming source (C with scale 1/(n-1)) and on the
+// batch source (S with scale 1.0).  The keep-all closed form reads no S;
+// its window kernel is pinned in window_rhs_test.cpp.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -33,7 +33,6 @@ class MaterializedSource final : public stats::CovarianceSource {
   [[nodiscard]] stats::CovarianceView view() const override {
     return {s_, 1.0};
   }
-  [[nodiscard]] bool view_is_cheap() const override { return true; }
 
  private:
   linalg::Matrix s_;
@@ -69,14 +68,15 @@ void expect_same_refresh(StreamingNormalEquations& through_view,
   EXPECT_EQ(through_view.pending_flips(), over_matrix.pending_flips());
 }
 
-// The batch drop-negative build (build_normal_equations on a source) reads
+// The batch drop-negative build (a fresh instance's first refresh) reads
 // the same view entries; it must match its materialised twin too.
 void expect_same_build(const linalg::SparseBinaryMatrix& r,
                        const stats::CovarianceSource& source,
                        std::size_t threads) {
-  const auto a = build_normal_equations(r, source, drop_options(threads));
-  const auto b = build_normal_equations(r, MaterializedSource(source),
-                                        drop_options(threads));
+  const auto a =
+      StreamingNormalEquations(r, drop_options(threads)).refresh(source);
+  const auto b = StreamingNormalEquations(r, drop_options(threads))
+                     .refresh(MaterializedSource(source));
   EXPECT_EQ(a.h, b.h);
   EXPECT_EQ(a.g.data(), b.g.data());
   EXPECT_EQ(a.used, b.used);

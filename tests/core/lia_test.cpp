@@ -136,25 +136,6 @@ TEST(Lia, PhiClampedToUnitInterval) {
   }
 }
 
-TEST(Lia, LearnFromCovarianceSourceMatchesSnapshotLearn) {
-  const auto net = losstomo::testing::make_two_beacon_network();
-  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
-  stats::Rng rng(401);
-  const auto v =
-      losstomo::testing::random_variances(rrm.link_count(), rng, 0.4);
-  const linalg::Vector mu(rrm.link_count(), -0.03);
-  const auto y = synthetic_observations(rrm.matrix(), mu, v, 40, rng);
-
-  Lia from_snapshots(rrm.matrix());
-  from_snapshots.learn(y);
-  Lia from_source(rrm.matrix());
-  from_source.learn(stats::BatchCovarianceSource(y));
-  EXPECT_LE(linalg::max_abs_diff(from_snapshots.variances().v,
-                                 from_source.variances().v),
-            1e-12);
-  EXPECT_EQ(from_snapshots.elimination().kept, from_source.elimination().kept);
-}
-
 // Regression (satellite): Lia owns its routing matrix, so constructing from
 // a temporary (here: the matrix of a ReducedRoutingMatrix that dies at the
 // end of the full expression) must be safe.  The old const-reference member

@@ -96,7 +96,7 @@ TEST(MonitorChurn, StreamingMatchesBatchThroughJoinLeaveAndGrowth) {
       if (l == 10) streaming.set_path_active(1, false);
       if (l == 13) streaming.set_path_active(1, true);
       if (l == 14) {
-        EXPECT_EQ(streaming.add_path(new_row), 3u);
+        EXPECT_EQ(streaming.add_paths({new_row}), 3u);
       }
       std::vector<double> y = feed[l];
       if (l >= 14) {
@@ -144,7 +144,7 @@ TEST(MonitorChurn, ValidatesConfiguration) {
   {
     LiaMonitor monitor(r, churn_options());
     EXPECT_THROW(monitor.set_path_active(7, false), std::invalid_argument);
-    EXPECT_THROW(monitor.add_path({9}), std::invalid_argument);
+    EXPECT_THROW(monitor.add_paths({{9}}), std::invalid_argument);
   }
 }
 

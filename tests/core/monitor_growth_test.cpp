@@ -1,6 +1,6 @@
 // Mass-growth semantics of LiaMonitor::add_paths: a batched append must be
 // STATE-identical (bit-parity, not just tolerance-parity) to the
-// equivalent loop of single add_path calls on every accumulator, the link
+// equivalent loop of one-row add_paths calls on every accumulator, the link
 // universe must grow mid-run by widening G with zero rows and columns,
 // and the monitor must stay in lockstep with the batch
 // relearn oracle, whose windows recorded at the old width fold into a

@@ -86,10 +86,10 @@ TEST(PairMoments, GrowthAlignsWithStoreAddRow) {
     sparse.push(y);
   }
   // Growing the store without growing the accumulator is caught.
-  store->add_row(r4);
+  store->add_rows(r4);
   EXPECT_THROW(sparse.push(std::vector<double>(3, 0.0)), std::logic_error);
-  EXPECT_EQ(sparse.add_path(), 3u);
-  EXPECT_EQ(dense.add_path(), 3u);
+  EXPECT_EQ(sparse.add_paths(1), 3u);
+  EXPECT_EQ(dense.add_paths(1), 3u);
   y.resize(4);
   for (std::size_t l = 0; l < 6; ++l) {
     for (auto& v : y) v = rng.gaussian(0.0, 1.0);

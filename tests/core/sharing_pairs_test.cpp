@@ -144,7 +144,7 @@ TEST(SharingPairStore, EmptyMatrix) {
   EXPECT_EQ(store.shared_link_entries(), 0u);
 }
 
-// Incremental row appends (path churn): an add_row-grown store must carry
+// Incremental row appends (path churn): a store grown one row at a time must carry
 // exactly the pairs a from-scratch build over the grown matrix finds —
 // with the new rows' pairs contiguous at the tail, partner on either side.
 TEST(SharingPairStore, AddRowMatchesRebuiltStore) {
@@ -164,7 +164,7 @@ TEST(SharingPairStore, AddRowMatchesRebuiltStore) {
     const auto row = r_full.row(i);
     rows.emplace_back(row.begin(), row.end());
     r = linalg::SparseBinaryMatrix(r_full.cols(), rows);
-    const std::size_t first = store.add_row(r);
+    const std::size_t first = store.add_rows(r);
     EXPECT_EQ(first, store.row_begin(i));
     EXPECT_EQ(store.path_count(), i + 1);
   }
@@ -187,7 +187,7 @@ TEST(SharingPairStore, AddRowMatchesRebuiltStore) {
   EXPECT_EQ(canonical(store), canonical(rebuilt));
 }
 
-// Batched growth must be state-identical to the equivalent add_row loop —
+// Batched growth must be state-identical to the equivalent one-row loop —
 // same pair indices, same partner orientation, same shared-link lists —
 // including pairs between two rows of the same batch, and rows that bring
 // fresh columns (a growing link universe).
@@ -216,7 +216,7 @@ TEST(SharingPairStore, AddRowsMatchesSequentialAddRow) {
       const auto row = r_full.row(k);
       upto.emplace_back(row.begin(), row.end());
     }
-    sequential.add_row(linalg::SparseBinaryMatrix(r_full.cols(), upto));
+    sequential.add_rows(linalg::SparseBinaryMatrix(r_full.cols(), upto));
   }
 
   ASSERT_EQ(batched.pair_count(), sequential.pair_count());
@@ -257,10 +257,10 @@ TEST(SharingPairStore, AddRowsRejectsShrunkMatrix) {
 
 TEST(SharingPairStore, GrowsFromEmptyStore) {
   // A store built over zero paths (or default-constructed) must accept its
-  // first add_row — the CSR leading offsets are established on demand.
+  // first add_rows — the CSR leading offsets are established on demand.
   auto store = SharingPairStore::build(linalg::SparseBinaryMatrix(3, {}));
   const linalg::SparseBinaryMatrix r1(3, {{0, 2}});
-  EXPECT_EQ(store.add_row(r1), 0u);
+  EXPECT_EQ(store.add_rows(r1), 0u);
   ASSERT_EQ(store.pair_count(), 1u);  // the diagonal pair
   EXPECT_EQ(store.partner(0), 0u);
   ASSERT_EQ(store.links(0).size(), 2u);
@@ -269,7 +269,7 @@ TEST(SharingPairStore, GrowsFromEmptyStore) {
 
   SharingPairStore fresh;
   const linalg::SparseBinaryMatrix r0(2, {{1}});
-  EXPECT_EQ(fresh.add_row(r0), 0u);
+  EXPECT_EQ(fresh.add_rows(r0), 0u);
   EXPECT_EQ(fresh.pair_count(), 1u);
 }
 

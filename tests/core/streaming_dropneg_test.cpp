@@ -41,7 +41,6 @@ class ScriptedSource final : public stats::CovarianceSource {
   [[nodiscard]] stats::CovarianceView view() const override {
     return {s_, 1.0};
   }
-  [[nodiscard]] bool view_is_cheap() const override { return true; }
 
  private:
   linalg::Matrix s_;
@@ -122,9 +121,9 @@ TEST(StreamingDropNegative, UncoveredLinkIsIdentityPinned) {
 // Equation drops that leave the live block itself rank-deficient (every
 // diagonal still covered) must degrade through the pivoted rank-revealing
 // fallback when configured to pin on any jitter: the deficient pivot's
-// link is pinned to zero variance and the streaming solve matches the
-// batch path exactly — instead of both returning jitter-amplified
-// solutions.
+// link is pinned to zero variance and the streaming solve matches a fresh
+// instance's (the batch solve) exactly — instead of both returning
+// jitter-amplified solutions.
 TEST(StreamingDropNegative, RankRevealingFallbackPinsDeficientLinks) {
   // Paths {a}, {a,b}, {a,b}: dropping the three {a}-only pairs leaves
   // G = [[3,3],[3,3]] — singular with positive diagonals (links a and b
@@ -165,9 +164,11 @@ TEST(StreamingDropNegative, RankRevealingFallbackPinsDeficientLinks) {
   EXPECT_NEAR(streaming.v[0], 1.25 / 3.0, 1e-12);
   EXPECT_DOUBLE_EQ(streaming.v[1], 0.0);
 
-  // The batch solve on the same covariances degrades identically.
-  const auto batch = estimate_link_variances(r, source, options);
-  EXPECT_EQ(batch.method, "normal(drop-negative,rank-revealing)");
+  // A fresh instance on the same covariances degrades identically.
+  StreamingNormalEquations fresh(r, options);
+  fresh.refresh(source);
+  const auto batch = fresh.solve();
+  EXPECT_EQ(batch.method, "streaming-normal(drop-negative,rank-revealing)");
   EXPECT_EQ(batch.links_pinned, 1u);
   ASSERT_EQ(batch.v.size(), streaming.v.size());
   for (std::size_t k = 0; k < batch.v.size(); ++k) {

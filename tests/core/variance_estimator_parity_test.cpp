@@ -65,10 +65,10 @@ TEST(VarianceEstimatorParity, BlockedMatchesScalarReferenceEverywhere) {
   const std::size_t thread_counts[] = {1, 2, 8};
 
   // The normal-equation build, per negative-covariance policy.
-  const auto pairwise = losstomo::testing::accumulate_pairwise_reference(
+  const auto pairwise = losstomo::testing::pairwise_reference(
       r, centered, /*drop_negative=*/true);
   const auto closed_form =
-      losstomo::testing::accumulate_closed_form_reference(r, centered);
+      losstomo::testing::closed_form_reference(r, centered);
   for (const auto threads : thread_counts) {
     VarianceOptions opts;
     opts.threads = threads;

@@ -204,25 +204,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(80, 81, 82, 83),
                        ::testing::Values(0.1, 0.3, 0.6)));
 
-TEST(CovarianceSource, BuildFromSourceMatchesSnapshotBuild) {
-  const auto p = make_problem(60, 90);
-  const auto& r = p.rrm->matrix();
-  const stats::BatchCovarianceSource source(p.y);
-  for (const auto policy : {NegativeCovariancePolicy::kDrop,
-                            NegativeCovariancePolicy::kKeep}) {
-    VarianceOptions options;
-    options.negatives = policy;
-    const auto from_snapshots = build_normal_equations(r, p.y, options);
-    const auto from_source = build_normal_equations(r, source, options);
-    EXPECT_EQ(from_snapshots.used, from_source.used);
-    EXPECT_EQ(from_snapshots.dropped, from_source.dropped);
-    EXPECT_LE(linalg::max_abs_diff(from_snapshots.g.data(),
-                                   from_source.g.data()),
-              1e-12);
-    EXPECT_LE(linalg::max_abs_diff(from_snapshots.h, from_source.h), 1e-10);
-  }
-}
-
 TEST(StreamingNormalEquationsTest, MatchesBatchEstimateBothPolicies) {
   const auto p = make_problem(60, 91);
   const auto& r = p.rrm->matrix();

@@ -90,8 +90,10 @@ TEST(WindowRhs, StreamingWindowEqualsCenteredSnapshots) {
           << "push " << t;
       EXPECT_EQ(h, augmented_normal_rhs(centered.window(), r, 1))
           << "push " << t;
-      // The batch entry points run the same kernel.
-      EXPECT_EQ(h, build_normal_equations(r, acc, keep_options(threads)).h);
+      // A fresh instance and the batch entry point run the same kernel.
+      EXPECT_EQ(h, StreamingNormalEquations(r, keep_options(threads))
+                       .refresh(acc)
+                       .h);
       EXPECT_EQ(h, build_normal_equations(r, copy_window(acc.snapshots()),
                                           keep_options(threads))
                        .h);

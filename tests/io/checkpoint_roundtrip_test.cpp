@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/monitor.hpp"
@@ -250,6 +251,8 @@ TEST(CheckpointRoundTrip, StreamingNormalEquationsKeepFactorAndCounters) {
   restored.restore_state(reader, nullptr);
   EXPECT_EQ(restored.refactorizations(), counters_before);
   EXPECT_EQ(restored.pending_flips(), original.pending_flips());
+  // G is not in the image: the restore rebuilt it from the kept pairs.
+  EXPECT_EQ(restored.system().g.data(), original.system().g.data());
 
   CheckpointWriter rewriter;
   restored_source.save_state(rewriter);
@@ -272,6 +275,50 @@ TEST(CheckpointRoundTrip, StreamingNormalEquationsKeepFactorAndCounters) {
     }
   }
   EXPECT_EQ(restored.refactorizations(), original.refactorizations());
+}
+
+// G is rebuilt from the kept-pair flags, so a flag other than 0 or 1
+// (which the flip path would toggle into "kept") is corrupt.  The image is
+// written field by field in the layout save_state uses for a drop-negative
+// instance with an embedded store; the same image with a valid flag
+// restores.
+TEST(CheckpointRoundTrip, StreamingNormalEquationsRejectBadKeptPairFlag) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  const auto& r = rrm.matrix();
+  core::VarianceOptions options;
+  options.negatives = core::NegativeCovariancePolicy::kDrop;
+  const auto store = core::SharingPairStore::build(r);
+  for (const std::uint8_t flag : {1, 2}) {
+    CheckpointWriter writer;
+    writer.begin_section(tags::kNormalEquations);
+    writer.usize(r.rows());
+    writer.usize(r.cols());
+    writer.boolean(true);   // drop-negative
+    writer.usize(0);        // factorizations
+    writer.usize(0);        // links grown
+    writer.boolean(true);   // has a pair store...
+    writer.boolean(false);  // ...embedded in this section
+    store.save_state(writer);
+    std::vector<std::uint8_t> kept(store.pair_count(), 1);
+    kept.back() = flag;
+    writer.u8s(kept);
+    writer.usize(0);  // pending flips
+    writer.end_section();
+    auto reader = CheckpointReader::from_bytes(writer.finish());
+    core::StreamingNormalEquations target(r, options);
+    if (flag == 1) {
+      target.restore_state(reader, nullptr);
+      EXPECT_EQ(target.links_pinned(), 0u);  // every pair kept
+      continue;
+    }
+    try {
+      target.restore_state(reader, nullptr);
+      FAIL() << "accepted a kept-pair flag of " << int{flag};
+    } catch (const CheckpointError& e) {
+      EXPECT_EQ(e.kind(), CheckpointErrorKind::kCorrupt);
+    }
+  }
 }
 
 TEST(CheckpointRoundTrip, SnapshotSimulatorContinuesBitIdentically) {
@@ -324,6 +371,8 @@ void monitor_roundtrip_case(core::CovarianceAccumulator acc) {
   core::LiaMonitor restored(rrm.matrix(), options);
   restore_from_image(restored, image);
   EXPECT_EQ(image_of(restored), image);
+  EXPECT_EQ(restored.streaming_equations().system().g.data(),
+            original.streaming_equations().system().g.data());
 
   for (std::size_t l = 2 * options.window + 4; l < stream.size(); ++l) {
     const auto a = original.observe(stream[l]);
@@ -371,6 +420,8 @@ TEST(CheckpointRoundTrip, MonitorKeepAllRingContinuesBitIdentically) {
   core::LiaMonitor restored(rrm.matrix(), options);
   restore_from_image(restored, image);
   EXPECT_EQ(image_of(restored), image);
+  EXPECT_EQ(restored.streaming_equations().system().g.data(),
+            original.streaming_equations().system().g.data());
 
   for (std::size_t l = 2 * options.window + 4; l < stream.size(); ++l) {
     const auto a = original.observe(stream[l]);
@@ -436,6 +487,83 @@ TEST(CheckpointRoundTrip, MonitorRejectsConfigMismatchIntact) {
     // state): it still warms up and diagnoses on its own configuration.
     for (const auto& y : stream) (void)target.observe(y);
     EXPECT_TRUE(target.warmed_up());
+  }
+}
+
+// Hostile images: seeded mutations of 1-3 payload bytes, re-sealed with a
+// valid CRC so that they pass the container checks and reach the section
+// parsers.  Each image must either be rejected with a typed CheckpointError
+// or restore into a monitor that keeps diagnosing: six further ticks, no
+// exception, every loss in [0, 1].
+void expect_mutations_fail_typed_or_resume(const core::MonitorOptions& options,
+                                           std::uint64_t seed) {
+  const auto net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(net.graph, net.paths);
+  constexpr std::size_t kTicks = 6;
+  const std::size_t warm = 3 * options.window;
+  const auto stream = make_stream(warm + kTicks, seed);
+  core::LiaMonitor original(rrm.matrix(), options);
+  for (std::size_t l = 0; l < warm; ++l) (void)original.observe(stream[l]);
+  const auto image = image_of(original);
+
+  constexpr std::size_t kHeader = 20;  // magic + version + size + crc
+  constexpr std::size_t kCrcOffset = 16;
+  stats::Rng rng(seed);
+  std::size_t rejected = 0;
+  std::size_t resumed = 0;
+  for (std::size_t trial = 0; trial < 3000; ++trial) {
+    auto mutated = image;
+    const std::size_t bytes = 1 + rng.index(3);
+    for (std::size_t b = 0; b < bytes; ++b) {
+      const std::size_t at = kHeader + rng.index(image.size() - kHeader);
+      mutated[at] ^= static_cast<std::uint8_t>(1 + rng.index(255));
+    }
+    const std::uint32_t crc =
+        crc32(std::span<const std::uint8_t>(mutated).subspan(kHeader));
+    for (std::size_t b = 0; b < 4; ++b) {
+      mutated[kCrcOffset + b] = static_cast<std::uint8_t>(crc >> (8 * b));
+    }
+    core::LiaMonitor target(rrm.matrix(), options);
+    try {
+      restore_from_image(target, std::move(mutated));
+    } catch (const CheckpointError&) {
+      ++rejected;
+      continue;
+    }
+    try {
+      for (std::size_t t = 0; t < kTicks; ++t) {
+        const auto inference = target.observe(stream[warm + t]);
+        ASSERT_TRUE(inference.has_value()) << "trial " << trial;
+        for (const double loss : inference->loss) {
+          ASSERT_TRUE(loss >= 0.0 && loss <= 1.0)
+              << "trial " << trial << " tick " << t << " loss " << loss;
+        }
+      }
+    } catch (const std::exception& e) {
+      FAIL() << "trial " << trial << " restored, then threw: " << e.what();
+    }
+    ++resumed;
+  }
+  // Both outcomes occur: the mutations reach fields the parsers reject and
+  // fields they accept.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(resumed, 0u);
+}
+
+TEST(CheckpointRoundTrip, ResealedMutationsFailTypedOrResume) {
+  {
+    SCOPED_TRACE("dense");
+    expect_mutations_fail_typed_or_resume(
+        monitor_options(core::CovarianceAccumulator::kDense), 7001);
+  }
+  {
+    SCOPED_TRACE("pairs");
+    expect_mutations_fail_typed_or_resume(
+        monitor_options(core::CovarianceAccumulator::kSharingPairs), 7002);
+  }
+  {
+    SCOPED_TRACE("keep-all");
+    expect_mutations_fail_typed_or_resume(keep_all_options(), 7003);
   }
 }
 

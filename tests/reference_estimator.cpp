@@ -6,7 +6,7 @@
 
 namespace losstomo::testing {
 
-core::NormalEquations accumulate_pairwise_reference(
+core::NormalEquations pairwise_reference(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y,
     bool drop_negative) {
   const std::size_t np = r.rows();
@@ -40,7 +40,7 @@ core::NormalEquations accumulate_pairwise_reference(
   return sys;
 }
 
-core::NormalEquations accumulate_closed_form_reference(
+core::NormalEquations closed_form_reference(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y) {
   core::NormalEquations sys;
   const linalg::CoTraversalGram gram(r);

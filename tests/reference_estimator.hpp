@@ -16,14 +16,14 @@ namespace losstomo::testing {
 /// Pairwise accumulation (the drop-negative policy when `drop_negative`):
 /// every path pair recomputes its sample covariance with an O(m) inner
 /// loop.  The blocked build matches it to last-ulps rounding.
-core::NormalEquations accumulate_pairwise_reference(
+core::NormalEquations pairwise_reference(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y,
     bool drop_negative);
 
 /// Closed form (keep-all): the seed's snapshot-outer path-variance sweep
 /// and serial per-link sums.  The parallel build preserves every
 /// per-element summation order, so the two are exactly equal.
-core::NormalEquations accumulate_closed_form_reference(
+core::NormalEquations closed_form_reference(
     const linalg::SparseBinaryMatrix& r, const stats::CenteredSnapshots& y);
 
 /// Packed sample covariances Sigma*_(i,j), i <= j, aligned with

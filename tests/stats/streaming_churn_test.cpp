@@ -91,7 +91,7 @@ TEST(StreamingChurn, AddPathGrowsWithZeroHistoryInvariant) {
   };
   for (std::size_t l = 0; l < kWindow + 2; ++l) push(3);
 
-  const std::size_t added = acc.add_path();
+  const std::size_t added = acc.add_paths(1);
   EXPECT_EQ(added, 3u);
   EXPECT_EQ(acc.dim(), 4u);
   EXPECT_EQ(acc.samples(3), 0u);
