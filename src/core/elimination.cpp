@@ -14,14 +14,13 @@ constexpr double kRankTol = 1e-9;
 
 }  // namespace
 
-Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
+Elimination eliminate_low_variance_links(const linalg::CoTraversalGram& gram,
                                          std::span<const double> variances,
                                          const EliminationOptions& options) {
-  const std::size_t nc = r.cols();
+  const std::size_t nc = gram.dim();
   if (variances.size() != nc) {
     throw std::invalid_argument("variance vector size != link count");
   }
-  const linalg::CoTraversalGram gram(r);
 
   Elimination result;
   result.factor = linalg::IncrementalCholesky(kRankTol);
@@ -64,6 +63,13 @@ Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
     }
   }
   return result;
+}
+
+Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
+                                         std::span<const double> variances,
+                                         const EliminationOptions& options) {
+  return eliminate_low_variance_links(linalg::CoTraversalGram(r), variances,
+                                      options);
 }
 
 }  // namespace losstomo::core

@@ -42,11 +42,22 @@ struct Elimination {
   std::vector<std::uint32_t> order;
 };
 
-/// Runs the elimination.  Precondition: `variances.size() == r.cols()`
-/// (throws std::invalid_argument).  Complexity: O(nc log nc) for the
-/// variance sort plus O(kept^2) Gram work per admitted column — O(kept^2 *
-/// nc) in total, no dense matrix ever materialised.  Pure function of its
-/// arguments; safe to call concurrently from multiple threads.
+/// Runs the elimination on the co-traversal Gram N = R^T R of the routing
+/// matrix.  Precondition: `variances.size() == gram.dim()` (throws
+/// std::invalid_argument).  Complexity: O(nc log nc) for the variance sort
+/// plus O(kept^2) work per admitted column — O(kept^2 * nc) in total, no
+/// dense matrix ever materialised.  N is an input, so callers whose
+/// routing outlives many variance estimates (Lia, LiaMonitor) build it
+/// once per routing and pay no Gram build per call.  Pure function of its
+/// arguments; safe to call concurrently from multiple threads, also on one
+/// shared N.
+Elimination eliminate_low_variance_links(const linalg::CoTraversalGram& gram,
+                                         std::span<const double> variances,
+                                         const EliminationOptions& options = {});
+
+/// Builds N = R^T R (an O(sum of row length^2) hash-map pass plus a sort)
+/// and runs the elimination on it.  Precondition: `variances.size() ==
+/// r.cols()` (throws std::invalid_argument).
 Elimination eliminate_low_variance_links(const linalg::SparseBinaryMatrix& r,
                                          std::span<const double> variances,
                                          const EliminationOptions& options = {});

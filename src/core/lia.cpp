@@ -6,7 +6,7 @@
 namespace losstomo::core {
 
 Lia::Lia(linalg::SparseBinaryMatrix r, LiaOptions options)
-    : r_(std::move(r)), options_(options) {}
+    : r_(std::move(r)), gram_(r_), options_(options) {}
 
 const VarianceEstimate& Lia::learn(const stats::SnapshotMatrix& history) {
   return adopt(estimate_link_variances(r_, history, options_.variance));
@@ -22,7 +22,7 @@ const VarianceEstimate& Lia::learn_from_variances(linalg::Vector variances) {
 const VarianceEstimate& Lia::adopt(VarianceEstimate estimate) {
   variance_ = std::move(estimate);
   elimination_ =
-      eliminate_low_variance_links(r_, variance_->v, options_.elimination);
+      eliminate_low_variance_links(gram_, variance_->v, options_.elimination);
   return *variance_;
 }
 

@@ -37,10 +37,13 @@ struct LiaMonitor::Telemetry {
   obs::Gauge* equations_used;
   obs::Gauge* equations_dropped;
   obs::Gauge* negative_clamped;
-  // Phase span ids.
+  // Phase span ids, one per layer of the tick.
   std::size_t tick_phase;
   std::size_t accumulate_phase;
+  std::size_t refresh_phase;
   std::size_t solve_phase;
+  std::size_t eliminate_phase;
+  std::size_t infer_phase;
 
   explicit Telemetry(obs::Registry& r)
       : registry(&r),
@@ -59,7 +62,10 @@ struct LiaMonitor::Telemetry {
         negative_clamped(&r.gauge("monitor.estimate.negative_clamped")),
         tick_phase(r.phase("tick")),
         accumulate_phase(r.phase("accumulate")),
-        solve_phase(r.phase("solve")) {}
+        refresh_phase(r.phase("refresh")),
+        solve_phase(r.phase("solve")),
+        eliminate_phase(r.phase("eliminate")),
+        infer_phase(r.phase("infer")) {}
 };
 
 namespace {
@@ -201,6 +207,13 @@ const VarianceEstimate& LiaMonitor::variances() const {
   return *variance_;
 }
 
+const linalg::CoTraversalGram& LiaMonitor::active_gram() const {
+  if (!active_gram_) {
+    throw std::logic_error("active Gram unavailable before learn");
+  }
+  return *active_gram_;
+}
+
 std::size_t LiaMonitor::active_path_count() const {
   std::size_t count = 0;
   for (const auto a : active_) count += a != 0;
@@ -247,6 +260,10 @@ std::size_t LiaMonitor::add_paths(std::vector<std::vector<std::uint32_t>> rows,
   return index;
 }
 
+obs::Span LiaMonitor::span(std::size_t Telemetry::*phase) const {
+  return {obs_ ? obs_->registry : nullptr, obs_ ? obs_.get()->*phase : 0};
+}
+
 void LiaMonitor::rebuild_active() {
   if (!active_dirty_ && active_r_) return;
   active_rows_.clear();
@@ -258,15 +275,27 @@ void LiaMonitor::rebuild_active() {
     rows.emplace_back(row.begin(), row.end());
   }
   active_r_.emplace(r_.cols(), std::move(rows));
+  active_gram_.emplace(*active_r_);
   active_dirty_ = false;
 }
 
-void LiaMonitor::relearn() {
+void LiaMonitor::eliminate() {
   rebuild_active();
-  equations_.refresh(*accumulator_);
-  variance_ = equations_.solve();
-  elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
+  elimination_ = eliminate_low_variance_links(*active_gram_, variance_->v,
                                               options_.lia.elimination);
+}
+
+void LiaMonitor::relearn() {
+  {
+    const obs::Span refresh_span = span(&Telemetry::refresh_phase);
+    equations_.refresh(*accumulator_);
+  }
+  {
+    const obs::Span solve_span = span(&Telemetry::solve_phase);
+    variance_ = equations_.solve();
+  }
+  const obs::Span eliminate_span = span(&Telemetry::eliminate_phase);
+  eliminate();
 }
 
 std::optional<LossInference> LiaMonitor::observe(std::span<const double> y) {
@@ -286,8 +315,7 @@ void LiaMonitor::observe_block(std::span<const double> values,
   }
   require_finite(values);
   for (std::size_t r = 0; r < rows; ++r) {
-    obs::Span tick_span(obs_ ? obs_->registry : nullptr,
-                        obs_ ? obs_->tick_phase : 0);
+    const obs::Span tick_span = span(&Telemetry::tick_phase);
     const auto inference = tick(values.subspan(r * np, np));
     if (on_inference && inference) on_inference(ticks_ - 1, *inference);
   }
@@ -300,11 +328,10 @@ std::optional<LossInference> LiaMonitor::tick(std::span<const double> y) {
     // Window full: (re)learn if due, then diagnose this snapshot using the
     // PRECEDING window only (the paper's m-then-(m+1) split).
     if (!variance_ || ++since_learn_ >= options_.relearn_every) {
-      obs::Span solve_span(obs_ ? obs_->registry : nullptr,
-                           obs_ ? obs_->solve_phase : 0);
       relearn();
       since_learn_ = 0;
     }
+    const obs::Span infer_span = span(&Telemetry::infer_phase);
     linalg::Vector y_active(active_rows_.size());
     for (std::size_t idx = 0; idx < active_rows_.size(); ++idx) {
       y_active[idx] = y[active_rows_[idx]];
@@ -314,8 +341,7 @@ std::optional<LossInference> LiaMonitor::tick(std::span<const double> y) {
   // Every snapshot enters the window — also between relearns — so a
   // delayed relearn sees the full intermediate history.
   {
-    obs::Span accumulate_span(obs_ ? obs_->registry : nullptr,
-                              obs_ ? obs_->accumulate_phase : 0);
+    const obs::Span accumulate_span = span(&Telemetry::accumulate_phase);
     accumulator_->push(y);
   }
   publish_telemetry();
@@ -442,16 +468,13 @@ void LiaMonitor::restore_state(io::CheckpointReader& reader) {
   active_dirty_ = true;
   active_rows_.clear();
   active_r_.reset();
+  active_gram_.reset();
   store_ = std::move(store);
   accumulator_ = std::move(acc);
   equations_ = std::move(equations);
   variance_ = std::move(estimate);
   elimination_.reset();
-  if (variance_) {
-    rebuild_active();
-    elimination_ = eliminate_low_variance_links(*active_r_, variance_->v,
-                                                options_.lia.elimination);
-  }
+  if (variance_) eliminate();
   if (obs_) {
     // The engine stack was rebuilt: drop a marker and republish from the
     // restored state.

@@ -82,6 +82,7 @@ class CheckpointReader;
 
 namespace losstomo::obs {
 class Registry;
+class Span;
 }  // namespace losstomo::obs
 
 namespace losstomo::core {
@@ -114,7 +115,8 @@ struct MonitorOptions {
   std::size_t refresh_every = 0;
   /// Telemetry sink (obs/registry.hpp); nullptr (the default) leaves the
   /// monitor uninstrumented.  The monitor registers its metric set, opens
-  /// accumulate/solve phase spans around the per-tick work, and publishes
+  /// one phase span per layer of the tick (accumulate, refresh, solve,
+  /// eliminate, infer; tick around each observe_block row), and publishes
   /// the deterministic counter set from serialized engine state at the end
   /// of every observe() — so the published values are bit-identical across
   /// thread counts and a checkpoint/restore (see docs/OBSERVABILITY.md).
@@ -156,7 +158,9 @@ class LiaMonitor {
   /// O(np + pairs) pair-indexed) + the normal-equation refresh (the
   /// O(m·(np + nnz)) closed form under keep-all, proportional to the
   /// sharing structure under drop-negative) + the solve (O(nc^2) on the
-  /// keep-all factor, an O(nc^3 / 3) factorization under drop-negative).
+  /// keep-all factor, an O(nc^3 / 3) factorization under drop-negative) +
+  /// the Phase-2 elimination on the cached Gram of the active rows (a
+  /// churn event adds one Gram rebuild to the next relearn).
   std::optional<LossInference> observe(std::span<const double> y);
 
   /// Per-diagnosing-tick callback for observe_block: (0-based tick index,
@@ -226,6 +230,12 @@ class LiaMonitor {
   [[nodiscard]] const linalg::SparseBinaryMatrix& routing() const {
     return r_;
   }
+  /// The co-traversal Gram N = R^T R of the active rows the last Phase 2
+  /// ran on, for diagnostics and tests.  Built once per routing epoch: at
+  /// the first relearn after a churn event (or a restore), and reused by
+  /// every relearn until the next one.  Throws std::logic_error before the
+  /// first relearn.
+  [[nodiscard]] const linalg::CoTraversalGram& active_gram() const;
 
   // -- Checkpointing (io/checkpoint.hpp) ----------------------------------
   //
@@ -233,9 +243,10 @@ class LiaMonitor {
   // grown) routing matrix, tick/relearn counters, the activation ledger,
   // the streaming stack (shared pair store, the accumulator's section,
   // incrementally maintained normal equations, with the keep-all factor),
-  // and the current Phase-1 estimate.  The Phase-2 elimination is NOT
-  // serialized — it is a pure function of (active routing rows,
-  // variances) and is recomputed on restore, bit-identically.
+  // and the current Phase-1 estimate.  The Phase-2 state is NOT
+  // serialized — the active rows' Gram N is a pure function of the
+  // active routing rows, and the elimination of (N, variances); restore
+  // rebuilds both once, bit-identically.
   //
   // restore_state targets a monitor constructed with the SAME options and
   // the same *initial* routing matrix (paths appended mid-run are replayed
@@ -256,7 +267,13 @@ class LiaMonitor {
   /// Phase 1 on the current window + the Phase-2 elimination on the
   /// active submatrix.
   void relearn();
+  /// The Phase-2 elimination of variance_ on the active submatrix.
+  void eliminate();
+  /// Rebuilds the active rows, their submatrix and its Gram after a churn
+  /// event or a restore; a no-op otherwise.
   void rebuild_active();
+  /// The span of one tick layer (a no-op span when uninstrumented).
+  [[nodiscard]] obs::Span span(std::size_t Telemetry::*phase) const;
   /// Mirrors the deterministic engine state into the attached registry
   /// (no-op without one).  Called at the end of every observe() and after
   /// a restore commit, so exported counters always reflect the serialized
@@ -274,6 +291,7 @@ class LiaMonitor {
   bool active_dirty_ = true;
   std::vector<std::uint32_t> active_rows_;
   std::optional<linalg::SparseBinaryMatrix> active_r_;  // Phase-2 rows
+  std::optional<linalg::CoTraversalGram> active_gram_;  // of *active_r_
   std::optional<VarianceEstimate> variance_;
   std::optional<Elimination> elimination_;  // on *active_r_
   std::size_t ticks_ = 0;

@@ -3,7 +3,8 @@
 //
 // Spans nest: the monitoring stack opens `tick` in ScenarioRunner::step
 // (or per row in LiaMonitor::observe_block), `ingest` around snapshot
-// production, and `accumulate`/`solve` inside LiaMonitor::observe — and
+// production, and one span per layer of the monitor's tick (`accumulate`,
+// `refresh`, `solve`, `eliminate`, `infer`) inside LiaMonitor::observe — and
 // each records its *exclusive* time: opening a child pauses the parent's
 // util::Timer, closing it resumes, so a phase histogram answers "where did
 // this tick's time go" without double counting.  Nesting is tracked per

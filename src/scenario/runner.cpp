@@ -617,9 +617,9 @@ void ScenarioRunner::replay_trace(const std::string& file) {
 std::optional<core::LossInference> ScenarioRunner::step() {
   if (tick_ >= spec_.ticks) throw std::logic_error("scenario exhausted");
   util::Timer timer;
-  // Root phase span of the tick; the monitor's accumulate/solve spans and
-  // the ingest span below nest under it (exclusive time — a parent's clock
-  // pauses while a child runs).
+  // Root phase span of the tick; the monitor's layer spans and the ingest
+  // span below nest under it (exclusive time — a parent's clock pauses
+  // while a child runs).
   obs::Span tick_span(obs_ ? obs_->registry : nullptr,
                       obs_ ? obs_->tick_phase : 0);
   const auto due = timeline_.at(tick_);

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <thread>
 
 #include "linalg/qr.hpp"
 #include "test_util.hpp"
@@ -107,6 +109,11 @@ TEST(Elimination, RejectsSizeMismatch) {
   const linalg::SparseBinaryMatrix r(3, {{0, 1}, {1, 2}});
   const linalg::Vector v{0.1, 0.2};
   EXPECT_THROW(eliminate_low_variance_links(r, v), std::invalid_argument);
+  const linalg::CoTraversalGram gram(r);
+  EXPECT_THROW(eliminate_low_variance_links(gram, v), std::invalid_argument);
+  EXPECT_THROW(
+      eliminate_low_variance_links(gram, linalg::Vector{0.1, 0.2, 0.3, 0.4}),
+      std::invalid_argument);
 }
 
 TEST(Elimination, GreedyModeKeepsMore) {
@@ -129,6 +136,63 @@ TEST(Elimination, GreedyModeKeepsMore) {
   const auto kept_greedy =
       eliminate_low_variance_links(r, v, greedy).kept.size();
   EXPECT_GE(kept_greedy, kept_paper);
+}
+
+// The Gram overload is the routing overload without its Gram build: every
+// field is equal, and the factors solve a fixed rhs to the same bits, in
+// both stopping modes.
+TEST(Elimination, GramOverloadEqualsRoutingOverload) {
+  for (int seed = 720; seed < 726; ++seed) {
+    stats::Rng rng(static_cast<std::uint64_t>(seed));
+    const auto mesh = losstomo::testing::make_random_mesh(30, 6, rng);
+    if (mesh.paths.empty()) continue;
+    const net::ReducedRoutingMatrix rrm(mesh.topo.graph, mesh.paths);
+    const auto v =
+        losstomo::testing::random_variances(rrm.link_count(), rng, 0.2);
+    const linalg::CoTraversalGram gram(rrm.matrix());
+    for (const bool stop : {true, false}) {
+      EliminationOptions options;
+      options.stop_at_first_dependence = stop;
+      const auto from_r = eliminate_low_variance_links(rrm.matrix(), v, options);
+      const auto from_gram = eliminate_low_variance_links(gram, v, options);
+      const std::string label =
+          "seed " + std::to_string(seed) + " stop " + std::to_string(stop);
+      EXPECT_EQ(from_gram.kept, from_r.kept) << label;
+      EXPECT_EQ(from_gram.removed, from_r.removed) << label;
+      EXPECT_EQ(from_gram.order, from_r.order) << label;
+      ASSERT_EQ(from_gram.factor.size(), from_r.factor.size()) << label;
+      linalg::Vector b(from_r.factor.size());
+      for (std::size_t j = 0; j < b.size(); ++j) {
+        b[j] = 1.0 + static_cast<double>(j % 7);
+      }
+      EXPECT_EQ(from_gram.factor.solve(b), from_r.factor.solve(b)) << label;
+    }
+  }
+}
+
+// Lia and the monitor hand one read-only N to every elimination; calls on
+// it from several threads at once agree with a serial call.
+TEST(Elimination, ConcurrentCallsOnOneGramAgree) {
+  stats::Rng rng(727);
+  const auto mesh = losstomo::testing::make_random_mesh(30, 6, rng);
+  ASSERT_FALSE(mesh.paths.empty());
+  const net::ReducedRoutingMatrix rrm(mesh.topo.graph, mesh.paths);
+  const auto v = losstomo::testing::random_variances(rrm.link_count(), rng, 0.2);
+  const linalg::CoTraversalGram gram(rrm.matrix());
+  const auto serial = eliminate_low_variance_links(gram, v);
+  std::vector<Elimination> results(4);
+  {
+    std::vector<std::jthread> workers;  // joined at the end of the scope
+    for (auto& result : results) {
+      workers.emplace_back([&gram, &v, &result] {
+        result = eliminate_low_variance_links(gram, v);
+      });
+    }
+  }
+  for (const auto& result : results) {
+    EXPECT_EQ(result.kept, serial.kept);
+    EXPECT_EQ(result.removed, serial.removed);
+  }
 }
 
 // Property: on random meshes with random variances, elimination equals the
