@@ -9,7 +9,8 @@ Lia::Lia(linalg::SparseBinaryMatrix r, LiaOptions options)
     : r_(std::move(r)), gram_(r_), options_(options) {}
 
 const VarianceEstimate& Lia::learn(const stats::SnapshotMatrix& history) {
-  return adopt(estimate_link_variances(r_, history, options_.variance));
+  return adopt(
+      estimate_link_variances(r_, history, options_.variance, &gram_));
 }
 
 const VarianceEstimate& Lia::learn_from_variances(linalg::Vector variances) {

@@ -38,9 +38,10 @@ class Lia {
  public:
   /// Takes the routing matrix by value: a Lia owns its copy, so it stays
   /// valid however the caller produced the matrix (including temporaries —
-  /// the old const-reference member dangled there).  Builds the Phase-2
+  /// the old const-reference member dangled there).  Builds the
   /// co-traversal Gram N = R^T R here, once: the routing never changes, so
-  /// every learn/adopt reuses it.
+  /// every learn/adopt reuses it — for the Phase-2 elimination, and for
+  /// the keep-all Phase-1 G that learn() assembles from it.
   explicit Lia(linalg::SparseBinaryMatrix r, LiaOptions options = {});
 
   /// Phase 1: estimates link variances from the history of snapshots and
@@ -71,7 +72,7 @@ class Lia {
 
  private:
   linalg::SparseBinaryMatrix r_;  // owned (see constructor note)
-  linalg::CoTraversalGram gram_;  // N = R^T R of r_, for every elimination
+  linalg::CoTraversalGram gram_;  // N = R^T R of r_: keep-all G, elimination
   LiaOptions options_;
   std::optional<VarianceEstimate> variance_;
   std::optional<Elimination> elimination_;

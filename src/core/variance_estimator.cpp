@@ -203,19 +203,21 @@ bool resolve_negative_policy(const VarianceOptions& options, std::size_t np) {
 
 NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
                                        const stats::SnapshotMatrix& y,
-                                       const VarianceOptions& options) {
+                                       const VarianceOptions& options,
+                                       const linalg::CoTraversalGram* gram) {
   check_snapshots(r, y);
   // One assembly for batch and streaming: the batch system is a fresh
   // streaming instance's first refresh over the centred window.
   const stats::BatchCovarianceSource source(y, options.threads);
   VarianceOptions normal = options;
   normal.method = VarianceMethod::kNormal;
-  return StreamingNormalEquations(r, normal).refresh(source);
+  return StreamingNormalEquations(r, normal, gram).refresh(source);
 }
 
 VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
                                          const stats::SnapshotMatrix& y,
-                                         const VarianceOptions& options) {
+                                         const VarianceOptions& options,
+                                         const linalg::CoTraversalGram* gram) {
   check_snapshots(r, y);
   // Resolve the auto knobs.
   VarianceMethod method = options.method;
@@ -230,12 +232,13 @@ VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
     return dense_qr_estimate(r, packed_covariances({s, 1.0}), drop_negative,
                              options);
   }
-  return solve_normal_system(build_normal_equations(r, y, options), method,
-                             drop_negative, options);
+  return solve_normal_system(build_normal_equations(r, y, options, gram),
+                             method, drop_negative, options);
 }
 
 StreamingNormalEquations::StreamingNormalEquations(
-    const linalg::SparseBinaryMatrix& r, const VarianceOptions& options)
+    const linalg::SparseBinaryMatrix& r, const VarianceOptions& options,
+    const linalg::CoTraversalGram* gram)
     : options_(options),
       np_(r.rows()),
       nc_(r.cols()),
@@ -246,13 +249,16 @@ StreamingNormalEquations::StreamingNormalEquations(
         "StreamingNormalEquations supports kAuto and kNormal only; use the "
         "batch path for kDenseQr and kNnls");
   }
-  sys_.g = linalg::Matrix(nc_, nc_);
   sys_.h.assign(nc_, 0.0);
   routing_ = r;
-  if (!drop_negative_) {
+  if (drop_negative_) {
+    sys_.g = linalg::Matrix(nc_, nc_);
+  } else {
     // Keep-all: G depends only on the routing matrix.
-    const linalg::CoTraversalGram gram(r);
-    sys_.g = augmented_normal_matrix(gram, options_.threads);
+    sys_.g = gram != nullptr
+                 ? augmented_normal_matrix(*gram, options_.threads)
+                 : augmented_normal_matrix(linalg::CoTraversalGram(r),
+                                           options_.threads);
     sys_.used = pair_count(np_);
   }
   // Drop-negative: defer the sharing-pair enumeration to the first

@@ -109,18 +109,23 @@ bool resolve_negative_policy(const VarianceOptions& options, std::size_t np);
 /// Assembles the covariance system without solving it: centres `y` and
 /// returns the first refresh() of a fresh StreamingNormalEquations over it.
 /// Honours options.negatives / threads exactly like estimate_link_variances
-/// (options.method is ignored).  Exposed for benchmarking and diagnostics;
-/// the scalar references it is pinned against live in
-/// tests/reference_estimator.hpp.
-NormalEquations build_normal_equations(const linalg::SparseBinaryMatrix& r,
-                                       const stats::SnapshotMatrix& y,
-                                       const VarianceOptions& options = {});
+/// (options.method is ignored).  `gram`, when given, must be N = R^T R of
+/// `r` (see the StreamingNormalEquations constructor).  Exposed for
+/// benchmarking and diagnostics; the scalar references it is pinned against
+/// live in tests/reference_estimator.hpp.
+NormalEquations build_normal_equations(
+    const linalg::SparseBinaryMatrix& r, const stats::SnapshotMatrix& y,
+    const VarianceOptions& options = {},
+    const linalg::CoTraversalGram* gram = nullptr);
 
 /// Estimates link variances from m snapshots of the path observations.
-/// `y` must have dim() == r.rows() and count() >= 2.
-VarianceEstimate estimate_link_variances(const linalg::SparseBinaryMatrix& r,
-                                         const stats::SnapshotMatrix& y,
-                                         const VarianceOptions& options = {});
+/// `y` must have dim() == r.rows() and count() >= 2.  `gram`, when given,
+/// must be N = R^T R of `r`: a keep-all solve then assembles G from it
+/// instead of rebuilding N (core::Lia passes the N it holds).
+VarianceEstimate estimate_link_variances(
+    const linalg::SparseBinaryMatrix& r, const stats::SnapshotMatrix& y,
+    const VarianceOptions& options = {},
+    const linalg::CoTraversalGram* gram = nullptr);
 
 /// Incrementally maintained Phase-1 normal equations for monitoring loops.
 ///
@@ -162,8 +167,12 @@ class StreamingNormalEquations {
  public:
   /// O(nc^2) for keep-all (Gram assembly); O(nnz(r)) copy for
   /// drop-negative (the pair store is deferred to the first refresh).
+  /// Keep-all assembles G from `gram` when given — it must be N = R^T R of
+  /// `r`, and is read only here — and from a fresh N otherwise;
+  /// drop-negative ignores it.
   StreamingNormalEquations(const linalg::SparseBinaryMatrix& r,
-                           const VarianceOptions& options = {});
+                           const VarianceOptions& options = {},
+                           const linalg::CoTraversalGram* gram = nullptr);
 
   /// Drop-negative with an externally owned (shared) pair store — the
   /// configuration the pair-indexed covariance accumulator

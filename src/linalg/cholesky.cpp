@@ -6,23 +6,111 @@
 
 namespace losstomo::linalg {
 
+namespace {
+
+// Rows per panel.  The trailing update streams every row below the panel
+// past the panel's rows, so they should stay cache-resident: 48 rows of an
+// n = 983 factor are 377 KB.
+constexpr std::size_t kPanel = 48;
+
+// Visits every (i, j) with i < j < n, in 32 x 32 tiles, so the strided
+// side of a transposition touches a few cache lines per tile.
+template <class Visit>
+void for_each_strict_upper(std::size_t n, Visit visit) {
+  constexpr std::size_t kTile = 32;
+  for (std::size_t i0 = 0; i0 < n; i0 += kTile) {
+    const std::size_t i1 = std::min(i0 + kTile, n);
+    for (std::size_t j0 = i0; j0 < n; j0 += kTile) {
+      const std::size_t j1 = std::min(j0 + kTile, n);
+      for (std::size_t i = i0; i < i1; ++i) {
+        for (std::size_t j = std::max(j0, i + 1); j < j1; ++j) visit(i, j);
+      }
+    }
+  }
+}
+
+// Applies the finished rows k0..k1-1 of U (row-major, n x n) to the R rows
+// starting at i: u(i + r, j) -= u(k, i + r) * u(k, j) for j >= i, one k at
+// a time in ascending order, four k per pass with their multipliers in
+// registers.  Because each entry sees its subtractions in ascending k
+// whatever the grouping, the result does not depend on R or the panel
+// size.  For R = 2 the pass also writes u(i + 1, i), which lies in the
+// strict lower triangle and is overwritten by the final transposition.
+template <std::size_t R>
+void update_rows(double* u, std::size_t n, std::size_t i, std::size_t k0,
+                 std::size_t k1) {
+  double* __restrict out[R];
+  for (std::size_t r = 0; r < R; ++r) out[r] = u + (i + r) * n;
+  std::size_t k = k0;
+  for (; k + 4 <= k1; k += 4) {
+    const double* __restrict r0 = u + k * n;
+    const double* __restrict r1 = r0 + n;
+    const double* __restrict r2 = r1 + n;
+    const double* __restrict r3 = r2 + n;
+    double c[R][4];
+    for (std::size_t r = 0; r < R; ++r) {
+      c[r][0] = r0[i + r];
+      c[r][1] = r1[i + r];
+      c[r][2] = r2[i + r];
+      c[r][3] = r3[i + r];
+    }
+    for (std::size_t j = i; j < n; ++j) {
+      const double x0 = r0[j];
+      const double x1 = r1[j];
+      const double x2 = r2[j];
+      const double x3 = r3[j];
+      for (std::size_t r = 0; r < R; ++r) {
+        out[r][j] = out[r][j] - c[r][0] * x0 - c[r][1] * x1 - c[r][2] * x2 -
+                    c[r][3] * x3;
+      }
+    }
+  }
+  for (; k < k1; ++k) {
+    const double* __restrict rk = u + k * n;
+    for (std::size_t r = 0; r < R; ++r) {
+      const double c = rk[i + r];
+      for (std::size_t j = i; j < n; ++j) out[r][j] -= c * rk[j];
+    }
+  }
+}
+
+}  // namespace
+
 Cholesky::Cholesky(Matrix a, double min_pivot) : l_(std::move(a)) {
   if (l_.rows() != l_.cols()) throw std::invalid_argument("not square");
   const std::size_t n = l_.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    double d = l_(j, j);
-    for (std::size_t k = 0; k < j; ++k) d -= l_(j, k) * l_(j, k);
-    if (!(d > min_pivot)) throw std::runtime_error("Cholesky: matrix not SPD");
-    const double ljj = std::sqrt(d);
-    l_(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double s = l_(i, j);
-      for (std::size_t k = 0; k < j; ++k) s -= l_(i, k) * l_(j, k);
-      l_(i, j) = s / ljj;
+  double* u = l_.data().data();
+  // The kernel works on U = L^T in the row-major store, so every update is
+  // a contiguous row axpy.  Mirror the lower triangle (the only part read)
+  // into the upper one.
+  for_each_strict_upper(n, [u, n](std::size_t i, std::size_t j) {
+    u[i * n + j] = u[j * n + i];
+  });
+  // Right-looking over panels of rows: each panel row takes the updates of
+  // the panel rows above it, then its pivot; then every trailing row takes
+  // the whole panel's updates, two rows per pass.
+  for (std::size_t p0 = 0; p0 < n; p0 += kPanel) {
+    const std::size_t p1 = std::min(p0 + kPanel, n);
+    for (std::size_t i = p0; i < p1; ++i) {
+      update_rows<1>(u, n, i, p0, i);
+      double* ui = u + i * n;
+      const double d = ui[i];
+      if (!(d > min_pivot)) {
+        throw std::runtime_error("Cholesky: matrix not SPD");
+      }
+      const double uii = std::sqrt(d);
+      ui[i] = uii;
+      for (std::size_t j = i + 1; j < n; ++j) ui[j] /= uii;
     }
-    // Zero the strict upper triangle so l() is a clean factor.
-    for (std::size_t c = j + 1; c < n; ++c) l_(j, c) = 0.0;
+    std::size_t i = p1;
+    for (; i + 2 <= n; i += 2) update_rows<2>(u, n, i, p0, p1);
+    if (i < n) update_rows<1>(u, n, i, p0, p1);
   }
+  // Back to L = U^T with a zero strict upper triangle.
+  for_each_strict_upper(n, [u, n](std::size_t i, std::size_t j) {
+    u[j * n + i] = u[i * n + j];
+    u[i * n + j] = 0.0;
+  });
 }
 
 Vector Cholesky::solve(std::span<const double> b) const {
@@ -40,12 +128,6 @@ Vector Cholesky::solve(std::span<const double> b) const {
     w[ri] = s / l_(ri, ri);
   }
   return w;
-}
-
-double Cholesky::sqrt_det() const {
-  double p = 1.0;
-  for (std::size_t i = 0; i < dim(); ++i) p *= l_(i, i);
-  return p;
 }
 
 RegularizedCholesky::RegularizedCholesky(const Matrix& a, double jitter,

@@ -102,6 +102,24 @@ TEST(Lia, LearnsFromSyntheticHistoryAndLocatesCongestion) {
   EXPECT_EQ(acc.false_alarms, 0u);
 }
 
+TEST(Lia, KeepAllLearnAssemblesGFromItsOwnGram) {
+  // Lia::learn hands its N = R^T R to the keep-all Phase 1; the variances
+  // equal, bit for bit, those of a solve that rebuilds N.
+  const auto mesh_net = losstomo::testing::make_two_beacon_network();
+  const net::ReducedRoutingMatrix rrm(mesh_net.graph, mesh_net.paths);
+  stats::Rng rng(102);
+  const std::size_t nc = rrm.link_count();
+  linalg::Vector v_true(nc, 1e-6);
+  v_true[1] = 0.03;
+  const auto history = synthetic_observations(
+      rrm.matrix(), linalg::Vector(nc, -0.01), v_true, 60, rng);
+  LiaOptions options;
+  options.variance.negatives = NegativeCovariancePolicy::kKeep;
+  Lia lia(rrm.matrix(), options);
+  EXPECT_EQ(lia.learn(history).v,
+            estimate_link_variances(rrm.matrix(), history, options.variance).v);
+}
+
 TEST(Lia, VariancesAccessorGuarded) {
   const linalg::SparseBinaryMatrix r(2, {{0}, {1}});
   const Lia lia(r);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
+#include <set>
+#include <stdexcept>
+#include <vector>
 
 #include "linalg/qr.hpp"
 #include "stats/rng.hpp"
@@ -19,6 +24,111 @@ Matrix random_spd(std::size_t n, stats::Rng& rng, double eps = 1e-3) {
   auto g = b.gram();
   for (std::size_t i = 0; i < n; ++i) g(i, i) += eps;
   return g;
+}
+
+// The unblocked row-dot loop that linalg::Cholesky ran before its blocked
+// kernel, kept as the scalar reference: the lower factor, or nullopt on a
+// pivot at or below `min_pivot`.
+std::optional<Matrix> reference_cholesky(Matrix l, double min_pivot = 0.0) {
+  const std::size_t n = l.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    double d = l(j, j);
+    for (std::size_t k = 0; k < j; ++k) d -= l(j, k) * l(j, k);
+    if (!(d > min_pivot)) return std::nullopt;
+    const double ljj = std::sqrt(d);
+    l(j, j) = ljj;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      double s = l(i, j);
+      for (std::size_t k = 0; k < j; ++k) s -= l(i, k) * l(j, k);
+      l(i, j) = s / ljj;
+    }
+    for (std::size_t c = j + 1; c < n; ++c) l(j, c) = 0.0;
+  }
+  return l;
+}
+
+// RegularizedCholesky's jitter ladder over the reference factor: the rung
+// that succeeds, or -1 when none does.
+int reference_jitter_attempts(const Matrix& a, double jitter, int max_attempts,
+                              double min_pivot_rel) {
+  double max_diag = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    max_diag = std::max(max_diag, std::fabs(a(i, i)));
+  }
+  if (max_diag == 0.0) max_diag = 1.0;
+  double eps = 0.0;
+  for (int attempt = 0; attempt < max_attempts; ++attempt) {
+    Matrix work = a;
+    for (std::size_t i = 0; i < work.rows(); ++i) work(i, i) += eps;
+    if (reference_cholesky(std::move(work), min_pivot_rel * max_diag)) {
+      return attempt;
+    }
+    eps = (eps == 0.0) ? jitter * max_diag : eps * 10.0;
+  }
+  return -1;
+}
+
+// Sum of the pair equations `sets` over n links: each adds 1 on the block
+// of its shared links, as a drop-negative G does.
+Matrix pair_equation_gram(std::size_t n,
+                          const std::vector<std::set<std::size_t>>& sets) {
+  Matrix g(n, n);
+  for (const auto& links : sets) {
+    for (const auto a : links) {
+      for (const auto b : links) g(a, b) += 1.0;
+    }
+  }
+  return g;
+}
+
+// Random link sets of 1-4 shared links, 3n of them, plus one single-link
+// equation per link (so their G is positive definite).
+std::vector<std::set<std::size_t>> random_pair_equations(std::size_t n,
+                                                         stats::Rng& rng) {
+  std::vector<std::set<std::size_t>> sets;
+  for (std::size_t a = 0; a < n; ++a) sets.push_back({a});
+  for (std::size_t p = 0; p < 3 * n; ++p) {
+    std::set<std::size_t> links;
+    const std::size_t len = 1 + rng.index(4);
+    for (std::size_t t = 0; t < len; ++t) links.insert(rng.index(n));
+    sets.push_back(std::move(links));
+  }
+  return sets;
+}
+
+TEST(Cholesky, MatchesScalarReferenceAcrossPanelEdges) {
+  // Sizes straddle the 48-row panel and the 4-row and 2-row unrolls.  The
+  // blocked kernel subtracts in the reference's order, so only FMA
+  // contraction separates the two: the bound is a few ulps of the largest
+  // entry, far above the ~1e-16 observed and far below any real error.
+  stats::Rng rng(12);
+  for (const std::size_t n :
+       {1u, 2u, 3u, 4u, 5u, 47u, 48u, 49u, 96u, 97u, 268u, 983u}) {
+    SCOPED_TRACE(n);
+    const Matrix g = pair_equation_gram(n, random_pair_equations(n, rng));
+    const Cholesky chol(g);
+    const auto ref = reference_cholesky(g);
+    ASSERT_TRUE(ref.has_value());
+    const auto& l = chol.l();
+    double max_ref = 0.0;
+    for (const double x : ref->data()) {
+      max_ref = std::max(max_ref, std::fabs(x));
+    }
+    EXPECT_LE(max_abs_diff(l.data(), ref->data()), 1e-13 * max_ref);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = i + 1; j < n; ++j) ASSERT_EQ(l(i, j), 0.0);
+    }
+  }
+}
+
+TEST(Cholesky, ReadsOnlyTheLowerTriangle) {
+  stats::Rng rng(13);
+  const Matrix g = pair_equation_gram(97, random_pair_equations(97, rng));
+  Matrix scribbled = g;
+  for (std::size_t i = 0; i < 97; ++i) {
+    for (std::size_t j = i + 1; j < 97; ++j) scribbled(i, j) = -1e300;
+  }
+  EXPECT_EQ(Cholesky(scribbled).l().data(), Cholesky(g).l().data());
 }
 
 TEST(Cholesky, FactorReproducesMatrix) {
@@ -53,10 +163,6 @@ TEST(Cholesky, RejectsNonSquare) {
   EXPECT_THROW(Cholesky{Matrix(2, 3)}, std::invalid_argument);
 }
 
-TEST(Cholesky, SqrtDetOfIdentity) {
-  EXPECT_DOUBLE_EQ(Cholesky(Matrix::identity(4)).sqrt_det(), 1.0);
-}
-
 TEST(RegularizedCholesky, CleanMatrixUsesNoJitter) {
   stats::Rng rng(7);
   const auto a = random_spd(5, rng);
@@ -79,22 +185,73 @@ TEST(RegularizedCholesky, SingularMatrixGetsJitter) {
 }
 
 TEST(RegularizedCholesky, FromStateSolvesLikeTheFactorItCameFrom) {
-  // A jittered factor (rank-1 PSD input) round-trips through its state —
-  // the keep-all checkpoint path — with its jitter diagnostics and the
-  // exact solve bits, and no refactorization.
-  Matrix a(3, 3);
+  // A jittered factor (rank-1 PSD input) and clean factors across the
+  // panel edge round-trip through their state — the keep-all checkpoint
+  // path — with their jitter diagnostics and the exact solve bits, and no
+  // refactorization.
+  Matrix rank1(3, 3);
   const Vector u{1.0, 2.0, 3.0};
   for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 0; j < 3; ++j) a(i, j) = u[i] * u[j];
+    for (std::size_t j = 0; j < 3; ++j) rank1(i, j) = u[i] * u[j];
   }
-  const RegularizedCholesky chol(a);
-  ASSERT_GT(chol.jitter_used(), 0.0);
-  const auto restored = RegularizedCholesky::from_state(
-      chol.factor().l(), chol.jitter_used(), chol.jitter_attempts());
-  EXPECT_EQ(restored.jitter_used(), chol.jitter_used());
-  EXPECT_EQ(restored.jitter_attempts(), chol.jitter_attempts());
-  const Vector b{1.0, -2.0, 0.5};
-  EXPECT_EQ(restored.solve(b), chol.solve(b));
+  stats::Rng rng(14);
+  std::vector<Matrix> inputs{rank1};
+  for (const std::size_t n : {49u, 268u}) {
+    inputs.push_back(pair_equation_gram(n, random_pair_equations(n, rng)));
+  }
+  for (const auto& a : inputs) {
+    SCOPED_TRACE(a.rows());
+    const RegularizedCholesky chol(a);
+    if (a.rows() == 3) {
+      ASSERT_GT(chol.jitter_used(), 0.0);
+    }
+    const auto restored = RegularizedCholesky::from_state(
+        chol.factor().l(), chol.jitter_used(), chol.jitter_attempts());
+    EXPECT_EQ(restored.jitter_used(), chol.jitter_used());
+    EXPECT_EQ(restored.jitter_attempts(), chol.jitter_attempts());
+    Vector b(a.rows());
+    for (auto& x : b) x = rng.gaussian();
+    EXPECT_EQ(restored.solve(b), chol.solve(b));
+  }
+}
+
+TEST(RegularizedCholesky, JitterLadderMatchesReferenceOnSingularDropNegativeG) {
+  // Exactly singular drop-negative systems: link b rides in exactly the
+  // equations of link a, link c in exactly those of p or q (never both),
+  // and link z in none, so its zero diagonal is pinned to 1 as the solve
+  // does.  The ladder must climb to the same rung as over the reference
+  // factor, with the solve's relative pivot floor.
+  stats::Rng rng(15);
+  for (const std::size_t n : {8u, 48u, 97u, 268u}) {
+    for (int trial = 0; trial < 2; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " trial " << trial);
+      std::vector<std::size_t> links(n);
+      for (std::size_t i = 0; i < n; ++i) links[i] = i;
+      for (std::size_t i = 0; i < 6; ++i) {
+        std::swap(links[i], links[i + rng.index(n - i)]);
+      }
+      const std::size_t a = links[0], b = links[1], p = links[2],
+                        q = links[3], c = links[4], z = links[5];
+      auto sets = random_pair_equations(n, rng);
+      for (auto& s : sets) {
+        s.erase(b);
+        s.erase(c);
+        s.erase(z);
+        if (s.count(a) != 0) s.insert(b);
+        if (s.count(p) != 0) s.erase(q);
+        if (s.count(p) != 0 || s.count(q) != 0) s.insert(c);
+      }
+      Matrix g = pair_equation_gram(n, sets);
+      ASSERT_EQ(g(z, z), 0.0);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (g(i, i) == 0.0) g(i, i) = 1.0;
+      }
+      const int expected = reference_jitter_attempts(g, 1e-12, 6, 1e-12);
+      ASSERT_GE(expected, 1);
+      EXPECT_EQ(RegularizedCholesky(g, 1e-12, 6, 1e-12).jitter_attempts(),
+                expected);
+    }
+  }
 }
 
 TEST(RegularizedCholesky, SizeMismatchThrows) {
